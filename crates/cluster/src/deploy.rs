@@ -26,8 +26,8 @@ use qap_exec::{ExecError, ExecResult, OpCounters, OpMetrics};
 use qap_expr::{
     AggCall, AggFunc, AggKind, AnalyzedExpr, BinOp, ColumnRef, ColumnTransform, ScalarExpr, UnOp,
 };
-use qap_partition::PartitionSet;
 use qap_obs::{Histogram, HISTOGRAM_BUCKETS};
+use qap_partition::PartitionSet;
 use qap_plan::{JoinType, LogicalNode, NamedAgg, NamedExpr, TemporalJoin};
 use qap_types::{
     decode_batch, encode_batch, Buf, BufMut, Bytes, BytesMut, DataType, Field, Schema, Temporality,
@@ -1417,7 +1417,10 @@ mod tests {
             longer.push(0);
             assert!(decode_migrate_cmd(Bytes::from(longer)).is_err());
         }
-        assert!(decode_migrate_cmd(Bytes::from(vec![9u8])).is_err(), "bad tag");
+        assert!(
+            decode_migrate_cmd(Bytes::from(vec![9u8])).is_err(),
+            "bad tag"
+        );
     }
 
     #[test]
@@ -1436,7 +1439,10 @@ mod tests {
         let bytes = encode_migrate_reply(&batches, &mut scratch).unwrap();
         assert_eq!(decode_migrate_reply(bytes.clone()).unwrap(), batches);
         for cut in 0..bytes.len() {
-            assert!(decode_migrate_reply(bytes.slice(..cut)).is_err(), "cut {cut}");
+            assert!(
+                decode_migrate_reply(bytes.slice(..cut)).is_err(),
+                "cut {cut}"
+            );
         }
     }
 

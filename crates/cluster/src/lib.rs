@@ -8,7 +8,9 @@
 //! packet trace. The simulator:
 //!
 //! - implements the **splitter**: round-robin or hash partitioning of
-//!   the raw stream into `M` partitions mapped onto hosts (Section 3.3);
+//!   the raw stream into `M` partitions mapped onto hosts (Section 3.3),
+//!   one epoch loop for every runner — static runs are the rebalance
+//!   detector switched off — with one drain-and-handoff driver;
 //! - executes the optimizer's physical plan *exactly* (the same
 //!   operators a single Gigascope instance runs), so result correctness
 //!   is end-to-end checkable against the centralized plan;
@@ -34,6 +36,7 @@ mod obs_export;
 pub mod rebalance;
 mod remote;
 mod sim;
+mod splitter;
 mod threaded;
 mod transport;
 mod validate;

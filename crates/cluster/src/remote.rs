@@ -6,25 +6,26 @@
 //! host in its *own* OS process and drives it over a TCP or
 //! Unix-domain socket:
 //!
-//! 1. the coordinator slices the plan host-serially (exactly the
-//!    threaded runner's decomposition), connects to each host with
+//! 1. the coordinator lays the plan out host-serially (the splitter's
+//!    deployment, [`crate::splitter`]), connects to each host with
 //!    bounded backoff, and performs the versioned handshake
 //!    (`Hello`/`Welcome`, [`qap_types::PROTOCOL_VERSION`]);
 //! 2. each leaf unit ships as a serialized [`Deploy`] payload
 //!    ([`crate::deploy`]); the host rebuilds the sliced DAG by
 //!    replaying its build script, so schema inference and local node
 //!    ids reproduce exactly;
-//! 3. a per-host **writer** thread streams the splitter's feed batches
-//!    as `Data` frames (one wire frame per splitter batch — the same
-//!    batch boundaries the in-process engines see) and a per-host
-//!    **reader pump** forwards the host's boundary `Data` frames into
-//!    the same bounded channel the threaded central unit consumes, so
-//!    [`run_central_unit`](crate::threaded) runs *unchanged*;
-//! 4. the host streams back its boundary frames and, after `Eos`, a
-//!    serialized [`UnitOutcome`] — per-node counters, metrics,
-//!    outputs, measured edge transport — which the coordinator
-//!    stitches into the run's [`SimResult`] exactly as it stitches
-//!    in-process worker results.
+//! 3. the calling thread runs the splitter; a per-host **writer**
+//!    thread turns each epoch's handoff into `Data` frames (one wire
+//!    frame per splitter batch — the same batch boundaries the
+//!    in-process engines see) and migration messages into `Migrate`
+//!    frames, and a per-host **reader pump** forwards the host's
+//!    boundary `Data` frames into the same bounded channel the threaded
+//!    central unit consumes, so [`run_central_unit`] runs *unchanged*;
+//! 4. the host answers each `Migrate` with a `MigrateAck` and, after
+//!    `Eos`, streams back a serialized [`UnitOutcome`] — per-node
+//!    counters, metrics, outputs, measured edge transport — which the
+//!    coordinator stitches into the run's [`SimResult`] exactly as it
+//!    stitches in-process worker results.
 //!
 //! Backpressure composes across the boundary: a slow central consumer
 //! blocks the pump, the socket buffer fills, and the host's frame
@@ -41,23 +42,21 @@
 //! [`Deploy`]: qap_types::ControlFrame::Deploy
 
 use std::collections::HashMap;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel as chan;
-use qap_exec::{
-    BatchConfig, Engine, ExecError, ExecResult, FailureCause, HostFailure, OpCounters, OpMetrics,
-};
+use qap_exec::{BatchConfig, ExecError, ExecResult, FailureCause, HostFailure};
 use qap_obs::SharedGauge;
 use qap_optimizer::{DistributedPlan, SplitStrategy};
-use qap_partition::{HashPartitioner, KeySketch};
+use qap_partition::HashPartitioner;
 use qap_plan::{LogicalNode, NodeId, QueryDag};
 use qap_types::{
-    encode_batch, encode_column_batch, Bytes, BytesMut, Catalog, ColumnBatch, ControlFrame, Tuple,
-    ERROR_DEPLOY, ERROR_EXEC, ERROR_VERSION, FRAME_HEADER_LEN, PROTOCOL_VERSION,
+    encode_batch, encode_column_batch, Bytes, BytesMut, Catalog, ControlFrame, Tuple, ERROR_DEPLOY,
+    ERROR_EXEC, ERROR_VERSION, PROTOCOL_VERSION,
 };
 
 use crate::deploy::{
@@ -67,15 +66,14 @@ use crate::deploy::{
 };
 use crate::link::{
     read_control, write_control, ChannelTransport, DuplexStream, FrameSink, HostAddr, HostListener,
-    LinkError, StreamSink, Transport,
+    SendOutcome, StreamSink, Transport,
 };
-use crate::rebalance::{self, ImbalanceDetector};
-use crate::sim::{account, trace_duration, SimConfig, SimResult};
-use crate::threaded::{
-    compute_units, forward_boundary, panic_message, run_central_unit, slice_unit, split_trace,
-    EdgeStage, SplitterFeed, TxShared, UnitPlan,
+use crate::sim::{SimConfig, SimResult};
+use crate::splitter::{
+    compute_units, single_stream, Deployment, ExtractJob, Feed, LinkMeasure, Links, StateRows,
+    UnitMsg, UnitPlan, UnitRun,
 };
-use crate::transport::{EdgeTransport, TransportMetrics};
+use crate::threaded::{panic_message, run_central_unit, split_beside_central, Leaf, TxShared};
 
 /// How long a handshake step may block before the coordinator declares
 /// the peer dead (used when `send_timeout_ms` is 0).
@@ -242,29 +240,6 @@ fn deploy_host(
     })
 }
 
-/// Encodes one splitter feed batch as a single wire frame in the run's
-/// configured representation — the same batch boundaries (and thus the
-/// same engine-visible feed) as the in-process runner.
-fn encode_feed_frame(
-    batch: &[Tuple],
-    columnar: bool,
-    stage: &mut ColumnBatch,
-    scratch: &mut BytesMut,
-) -> ExecResult<Bytes> {
-    if columnar && !batch.is_empty() {
-        let arity = batch[0].arity();
-        if stage.arity() != arity {
-            *stage = ColumnBatch::new(arity);
-        } else {
-            stage.clear();
-        }
-        stage.extend_rows(batch);
-        Ok(encode_column_batch(stage, scratch)?)
-    } else {
-        Ok(encode_batch(batch, scratch)?)
-    }
-}
-
 /// Number of leaf host processes (and thus addresses) a plan needs
 /// under the remote decomposition: one per non-aggregator host with
 /// work, independent of the in-process parallelism knob.
@@ -284,51 +259,26 @@ pub fn remote_host_count(plan: &DistributedPlan, cfg: &SimConfig) -> usize {
 /// Semantically identical to
 /// [`crate::run_distributed_threaded`] with
 /// [`TransportConfig::host_serial`](crate::TransportConfig::host_serial):
-/// same splitter routing, same central engine, same strict /
-/// partial-results semantics, bit-identical outputs.
+/// same splitter, same central engine, same strict / partial-results
+/// semantics, bit-identical outputs — and, with rebalancing on, the
+/// same drain-and-handoff, carried by `Migrate`/`MigrateAck` exchanges.
 pub fn run_distributed_remote(
     plan: &DistributedPlan,
     trace: &[Tuple],
     cfg: &SimConfig,
     hosts: &[HostAddr],
 ) -> ExecResult<SimResult> {
-    if cfg.transport.rebalance.enabled {
-        return run_remote_adaptive(plan, trace, cfg, hosts);
-    }
-    let agg = plan.partitioning.aggregator_host;
     // One process per host: the decomposition is host-serial by
     // construction, whatever the in-process parallelism knob says.
-    let transport = cfg.transport.host_serial();
-
-    let unit_nodes = compute_units(plan, agg, &transport);
-    let SplitterFeed {
-        schema,
-        per_unit: mut per_unit_feed,
-    } = split_trace(plan, trace, cfg.batch.max_batch, &unit_nodes)?;
-    let slices: Vec<UnitPlan> = unit_nodes
-        .iter()
-        .map(|nodes| slice_unit(plan, nodes))
-        .collect::<ExecResult<Vec<_>>>()?;
-    for (u, s) in slices.iter().enumerate() {
-        if u != 0 && !s.remote_in.is_empty() {
-            return Err(ExecError::BadPlan(format!(
-                "leaf unit on host {} unexpectedly consumes remote streams",
-                s.host
-            )));
-        }
-    }
-    if !slices[0].boundary.is_empty() {
-        return Err(ExecError::BadPlan(
-            "central unit unexpectedly ships boundary output".into(),
-        ));
-    }
-    if hosts.len() != slices.len() - 1 {
-        return Err(ExecError::BadPlan(format!(
-            "plan needs {} leaf host processes, got {} addresses",
-            slices.len() - 1,
-            hosts.len()
-        )));
-    }
+    let cfg = &SimConfig {
+        transport: cfg.transport.host_serial(),
+        ..*cfg
+    };
+    let transport = cfg.transport;
+    let agg = plan.partitioning.aggregator_host;
+    let stream = single_stream(plan)?;
+    let dep = Deployment::new(plan, &[(&stream, trace)], Some(&transport))?;
+    dep.check_leaf_hosts(hosts.len())?;
 
     // Connect + handshake + deploy every leaf host up front, so a
     // refused or mismatched host fails fast (strict) or is recorded and
@@ -338,23 +288,17 @@ pub fn run_distributed_remote(
     let mut failures: Vec<HostFailure> = Vec::new();
     for (i, addr) in hosts.iter().enumerate() {
         let u = i + 1;
-        let payload = encode_remote_unit(&remote_unit_of(plan, &slices[u], cfg)?, &mut scratch)?;
-        match deploy_host(addr, u, slices[u].host, payload, transport.send_timeout_ms) {
+        let slice = &dep.slices[u];
+        let payload = encode_remote_unit(&remote_unit_of(plan, slice, cfg)?, &mut scratch)?;
+        match deploy_host(addr, u, slice.host, payload, transport.send_timeout_ms) {
             Ok(session) => sessions.push(session),
-            Err(failure) => {
-                if !transport.partial_results {
-                    return Err(failure.into());
-                }
-                failures.push(failure);
-            }
+            Err(failure) if transport.partial_results => failures.push(failure),
+            Err(failure) => return Err(failure.into()),
         }
     }
 
     let (tx, rx) = ChannelTransport.pair(transport.channel_capacity.max(1));
     let depth = SharedGauge::new();
-    let batch_cfg = cfg.batch;
-    let columnar = transport.columnar;
-
     // Per-session shared state: outcome slot, coordinator-side fed
     // counter (failure attribution), and the shutdown handle.
     let outcomes: Vec<Mutex<Option<UnitOutcome>>> =
@@ -367,461 +311,25 @@ pub fn run_distributed_remote(
         .collect::<Result<_, _>>()
         .map_err(|e| link_failure(agg, 0, e))?;
 
-    let central = std::thread::scope(|scope| {
+    let (reb, central) = std::thread::scope(|scope| {
+        let mut links = RemoteLinks {
+            central: None,
+            hosts: (0..dep.slices.len()).map(|_| None).collect(),
+            dep: &dep,
+            buckets_per_partition: cfg.transport.rebalance.buckets_per_partition,
+            ack_timeout: Duration::from_millis(if transport.send_timeout_ms > 0 {
+                transport.send_timeout_ms
+            } else {
+                HANDSHAKE_FALLBACK_MS
+            }),
+        };
         for (i, session) in sessions.iter().enumerate() {
-            // Writer: stream this host's splitter feed as Data frames,
-            // then Eos. One wire frame per splitter batch.
-            let feed = std::mem::take(&mut per_unit_feed[session.unit]);
-            let write_stream = match session.stream.try_clone() {
-                Ok(s) => s,
-                Err(e) => {
-                    shared_failures
-                        .lock()
-                        .unwrap()
-                        .push(link_failure(session.host, 0, e));
-                    continue;
-                }
-            };
-            let fed_i = &fed[i];
             let host = session.host;
             let shared_failures = &shared_failures;
-            scope.spawn(move || {
-                let mut writer = BufWriter::new(write_stream);
-                let mut stage = ColumnBatch::new(0);
-                let mut enc_scratch = BytesMut::new();
-                let mut ctl_scratch = BytesMut::new();
-                let mut sent: u64 = 0;
-                let outcome: Result<(), String> = (|| {
-                    for (scan, batch) in &feed {
-                        let frame =
-                            encode_feed_frame(batch, columnar, &mut stage, &mut enc_scratch)
-                                .map_err(|e| e.to_string())?;
-                        write_control(
-                            &mut writer,
-                            &ControlFrame::Data {
-                                producer: *scan as u32,
-                                frame,
-                            },
-                            &mut ctl_scratch,
-                        )?;
-                        sent += batch.len() as u64;
-                        fed_i.store(sent, Ordering::Relaxed);
-                    }
-                    write_control(&mut writer, &ControlFrame::Eos, &mut ctl_scratch)
-                })();
-                if let Err(msg) = outcome {
-                    shared_failures
-                        .lock()
-                        .unwrap()
-                        .push(link_failure(host, sent, msg));
-                }
-            });
-
-            // Reader pump: forward boundary Data frames into the
-            // central channel; stash the terminal Result; surface
-            // everything else as a typed Link failure.
-            let read_stream = match session.stream.try_clone() {
-                Ok(s) => s,
-                Err(e) => {
-                    shared_failures
-                        .lock()
-                        .unwrap()
-                        .push(link_failure(session.host, 0, e));
-                    continue;
-                }
+            let record = move |msg: String, tuples: u64| {
+                let failure = link_failure(host, tuples, msg);
+                shared_failures.lock().unwrap().push(failure);
             };
-            let mut sink = tx.clone();
-            let depth = &depth;
-            let outcome_slot = &outcomes[i];
-            let fed_i = &fed[i];
-            scope.spawn(move || {
-                let mut stream = read_stream;
-                let mut got_result = false;
-                let failure = loop {
-                    match read_control(&mut stream) {
-                        Ok(Some(ControlFrame::Data { producer, frame })) => {
-                            depth.inc();
-                            match sink.send((producer as NodeId, frame)) {
-                                // Central gone (strict-mode abort):
-                                // stop pumping; sockets are shut down
-                                // by the driver.
-                                Ok(crate::link::SendOutcome::Closed) | Err(_) => break None,
-                                _ => {}
-                            }
-                        }
-                        Ok(Some(ControlFrame::Result(payload))) => {
-                            match decode_unit_outcome(payload) {
-                                Ok(outcome) => {
-                                    *outcome_slot.lock().unwrap() = Some(outcome);
-                                    got_result = true;
-                                    break None;
-                                }
-                                Err(e) => break Some(format!("result payload corrupt: {e}")),
-                            }
-                        }
-                        Ok(Some(ControlFrame::Error { kind, message })) => {
-                            break Some(format!("host reported failure ({kind}): {message}"))
-                        }
-                        Ok(Some(ControlFrame::Eos)) => continue,
-                        Ok(Some(other)) => break Some(format!("protocol violation: {other:?}")),
-                        Ok(None) => break Some("connection closed before result".into()),
-                        Err(e @ LinkError::MidFrame { .. }) => break Some(e.to_string()),
-                        Err(e) => break Some(e.to_string()),
-                    }
-                };
-                let _ = got_result;
-                if let Some(msg) = failure {
-                    shared_failures.lock().unwrap().push(link_failure(
-                        host,
-                        fed_i.load(Ordering::Relaxed),
-                        msg,
-                    ));
-                }
-            });
-        }
-        drop(tx);
-
-        let central_feed = std::mem::take(&mut per_unit_feed[0]);
-        let central = run_central_unit(
-            &slices[0],
-            central_feed,
-            batch_cfg,
-            columnar,
-            rx,
-            &depth,
-            &plan.host,
-            &transport,
-            agg,
-        );
-        // Unblock any writer or pump still parked on a socket — a
-        // strict-mode abort must not leave threads behind (the scope
-        // would otherwise never join).
-        for s in &shutdown_handles {
-            s.shutdown();
-        }
-        central
-    });
-
-    let central = central?;
-    failures.extend(shared_failures.into_inner().unwrap());
-
-    // Stitch: central results in-process, leaf results from the
-    // decoded outcomes — exactly the threaded driver's merge, with
-    // global ids recovered through each slice's local map.
-    let mut global_counters: Vec<OpCounters> = vec![OpCounters::default(); plan.dag.len()];
-    let mut global_metrics: Vec<OpMetrics> = vec![OpMetrics::default(); plan.dag.len()];
-    let mut outputs: Vec<(String, Vec<Tuple>)> = plan
-        .outputs
-        .iter()
-        .map(|o| {
-            (
-                o.name
-                    .clone()
-                    .unwrap_or_else(|| format!("query{}", o.logical)),
-                Vec::new(),
-            )
-        })
-        .collect();
-    for (&global, &local) in &slices[0].local {
-        global_counters[global] = central.run.counters[local];
-        global_metrics[global] = central.run.node_metrics[local].clone();
-    }
-    for (idx, rows) in central.run.outputs {
-        outputs[idx].1 = rows;
-    }
-    failures.extend(central.failures);
-
-    let mut edges: Vec<EdgeTransport> = Vec::new();
-    let mut stalls: u64 = 0;
-    let mut dropped: u64 = 0;
-    for (i, session) in sessions.iter().enumerate() {
-        let outcome = outcomes[i].lock().unwrap().take();
-        let Some(outcome) = outcome else {
-            // Failure already recorded by the pump; nothing to stitch.
-            continue;
-        };
-        let slice = &slices[session.unit];
-        for (&global, &local) in &slice.local {
-            global_counters[global] = outcome.counters[local];
-            global_metrics[global] = outcome.node_metrics[local].clone();
-        }
-        for (idx, rows) in outcome.outputs {
-            outputs[idx as usize].1 = rows;
-        }
-        edges.extend(outcome.edges);
-        stalls += outcome.stalls;
-        dropped += outcome.dropped;
-    }
-
-    if !transport.partial_results {
-        if let Some(first) = failures.into_iter().next() {
-            return Err(first.into());
-        }
-        failures = Vec::new();
-    }
-
-    edges.sort_unstable_by_key(|e| e.producer);
-    let frames: u64 = edges.iter().map(|e| e.frames).sum();
-    let payload: u64 = edges.iter().map(|e| e.bytes).sum();
-    let retries: u64 = edges.iter().map(|e| e.retries).sum();
-    let transport_metrics = TransportMetrics {
-        edges,
-        frames,
-        frame_bytes: payload + frames * FRAME_HEADER_LEN as u64,
-        backpressure_stalls: stalls,
-        queue_peak: depth.peak(),
-        retries,
-        frames_dropped: dropped,
-        frames_corrupt_dropped: central.corrupt_dropped,
-        channel_capacity: transport.channel_capacity.max(1),
-        frame_batch: transport.frame_batch.max(1),
-    };
-
-    let duration = trace_duration(&schema, trace);
-    let mut metrics = account(plan, &global_counters, duration, cfg);
-    metrics.boundary_queue_peak = transport_metrics.queue_peak;
-    metrics.transport = transport_metrics;
-    Ok(SimResult {
-        metrics,
-        outputs,
-        counters: global_counters,
-        node_metrics: global_metrics,
-        failures,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Adaptive coordinator
-// ---------------------------------------------------------------------
-
-/// Commands the adaptive coordinator queues to one host session's
-/// writer thread. The channel and the socket are both FIFO, so a
-/// `Migrate` reaches the host only after every feed batch queued before
-/// it — the socket counterpart of the in-process drain ordering.
-enum HostCmd {
-    /// One splitter batch for the given (global) scan node.
-    Feed(u32, Vec<Tuple>),
-    /// An encoded [`MigrateCmd`] payload; the writer flushes its buffer
-    /// behind it so the host sees the command promptly.
-    Migrate(Bytes),
-    /// End of stream.
-    Eos,
-}
-
-/// Outcome of one remote drain-and-handoff attempt (the socket
-/// counterpart of the threaded runner's migrate report).
-struct RemoteMigrateReport {
-    /// Rows shipped; `Some` means the new assignment table takes effect
-    /// (`None` = aborted with all state back in its source engines).
-    moved: Option<u64>,
-    /// A host died (or timed out) mid-protocol: the driver disables
-    /// further migrations — the fleet's state can no longer be moved
-    /// consistently. Its typed failure surfaces through the pump.
-    host_died: bool,
-}
-
-/// The adaptive variant of the remote coordinator: the calling thread
-/// becomes the splitter, routing the trace epoch by epoch through a
-/// live [`HashPartitioner`] table and driving drain-and-handoff
-/// migrations over the sessions' `Migrate`/`MigrateAck` exchanges.
-///
-/// The host-serial decomposition parks the aggregator host's partition
-/// scans inside the central unit, where no socket reaches them — so
-/// those partitions are **pinned**:
-/// [`plan_assignment_pinned`](crate::plan_assignment_pinned) never
-/// selects the aggregator host as donor or receiver, the pinned
-/// buckets' routing never changes, and the central unit's feed is fully
-/// determined by the *initial* table. That lets the coordinator
-/// pre-route the central feed up front and run
-/// [`run_central_unit`] unchanged while rebalancing the dedicated leaf
-/// host processes around it.
-///
-/// Each migration is one `Migrate(Extract)` round trip per leaf
-/// session (flush to the boundary, then extract the re-routed groups)
-/// followed by one `Migrate(Absorb)` round trip to the destinations.
-/// Combining flush and extract per host is sound because no absorb is
-/// sent until *every* extract ack is in — by then the whole fleet is
-/// flushed to the boundary, which is the same global barrier the
-/// threaded runner erects with its explicit flush phase.
-fn run_remote_adaptive(
-    plan: &DistributedPlan,
-    trace: &[Tuple],
-    cfg: &SimConfig,
-    hosts: &[HostAddr],
-) -> ExecResult<SimResult> {
-    let fallback = |reason: String| -> ExecResult<SimResult> {
-        let mut cfg = *cfg;
-        cfg.transport.rebalance.enabled = false;
-        let mut r = run_distributed_remote(plan, trace, &cfg, hosts)?;
-        r.metrics.rebalance_fallback = Some(reason);
-        Ok(r)
-    };
-    let reb = cfg.transport.rebalance;
-    let spec = match rebalance::migration_spec(plan) {
-        Ok(s) => s,
-        Err(reason) => return fallback(reason),
-    };
-    let agg = plan.partitioning.aggregator_host;
-    let transport = cfg.transport.host_serial();
-    let unit_nodes = compute_units(plan, agg, &transport);
-    let slices: Vec<UnitPlan> = unit_nodes
-        .iter()
-        .map(|nodes| slice_unit(plan, nodes))
-        .collect::<ExecResult<Vec<_>>>()?;
-    for (u, s) in slices.iter().enumerate() {
-        if u != 0 && !s.remote_in.is_empty() {
-            return Err(ExecError::BadPlan(format!(
-                "leaf unit on host {} unexpectedly consumes remote streams",
-                s.host
-            )));
-        }
-    }
-    if !slices[0].boundary.is_empty() {
-        return Err(ExecError::BadPlan(
-            "central unit unexpectedly ships boundary output".into(),
-        ));
-    }
-    if hosts.len() != slices.len() - 1 {
-        return Err(ExecError::BadPlan(format!(
-            "plan needs {} leaf host processes, got {} addresses",
-            slices.len() - 1,
-            hosts.len()
-        )));
-    }
-    if slices.len() - 1 < 2 {
-        return fallback("fewer than two leaf host processes: nothing to rebalance".into());
-    }
-
-    // Stream geometry: partition → scan node → unit.
-    let mut scan_of_partition: HashMap<u32, NodeId> = HashMap::new();
-    let mut stream_name = None;
-    for id in plan.dag.topo_order() {
-        if let LogicalNode::Source { stream, partition } = plan.dag.node(id) {
-            stream_name = Some(stream.clone());
-            scan_of_partition.insert(partition.expect("physical scan"), id);
-        }
-    }
-    let stream =
-        stream_name.ok_or_else(|| ExecError::BadPlan("plan has no source scans".into()))?;
-    let schema = plan
-        .dag
-        .catalog()
-        .get(&stream)
-        .expect("catalog has stream")
-        .clone();
-    let Some(&tidx) = schema.temporal_indices().first() else {
-        return fallback(format!("stream {stream} has no time column"));
-    };
-    let SplitStrategy::Hash(set) = &plan.partitioning.strategy else {
-        unreachable!("migration_spec admits only hash strategies");
-    };
-    let m = plan.partitioning.partitions;
-    let hosts_n = plan.partitioning.hosts;
-    let mut splitter = HashPartitioner::with_buckets(set, &schema, m, reb.buckets_per_partition)
-        .map_err(|e| ExecError::BadPlan(format!("unusable partitioning set: {e}")))?;
-    let scan_of: Vec<NodeId> = (0..m)
-        .map(|p| {
-            scan_of_partition
-                .get(&(p as u32))
-                .copied()
-                .ok_or_else(|| ExecError::BadPlan(format!("plan has no scan for partition {p}")))
-        })
-        .collect::<ExecResult<_>>()?;
-    let mut unit_of: Vec<usize> = vec![0; plan.dag.len()];
-    for (u, nodes) in unit_nodes.iter().enumerate() {
-        for &id in nodes {
-            unit_of[id] = u;
-        }
-    }
-
-    // Pre-route the central unit's feed with the initial table. The
-    // identity bucket assignment routes bit-identically to the static
-    // splitter, and pinned buckets never move, so this is exactly the
-    // feed the central scans would see live.
-    let SplitterFeed {
-        schema: _,
-        per_unit: mut per_unit_feed,
-    } = split_trace(plan, trace, cfg.batch.max_batch, &unit_nodes)?;
-
-    // Migration topology: family members grouped by unit, with the
-    // per-unit local↔global id maps the wire protocol needs.
-    let mut fam_of: HashMap<NodeId, usize> = HashMap::new();
-    let mut members_by_unit: HashMap<usize, Vec<NodeId>> = HashMap::new();
-    for (fi, fam) in spec.families.iter().enumerate() {
-        for mem in &fam.members {
-            fam_of.insert(mem.node, fi);
-            members_by_unit
-                .entry(unit_of[mem.node])
-                .or_default()
-                .push(mem.node);
-        }
-    }
-    // Unit 0's members sit on the pinned aggregator host: their keys
-    // never re-route, so they take part in no exchange.
-    let mut units: Vec<usize> = members_by_unit
-        .keys()
-        .copied()
-        .filter(|&u| u != 0)
-        .collect();
-    units.sort_unstable();
-    let global_of: Vec<HashMap<u32, NodeId>> = slices
-        .iter()
-        .map(|s| s.local.iter().map(|(&g, &l)| (l as u32, g)).collect())
-        .collect();
-
-    // Connect + handshake + deploy every leaf host up front.
-    let mut scratch = BytesMut::new();
-    let mut sessions: Vec<HostSession> = Vec::new();
-    let mut failures: Vec<HostFailure> = Vec::new();
-    for (i, addr) in hosts.iter().enumerate() {
-        let u = i + 1;
-        let payload = encode_remote_unit(&remote_unit_of(plan, &slices[u], cfg)?, &mut scratch)?;
-        match deploy_host(addr, u, slices[u].host, payload, transport.send_timeout_ms) {
-            Ok(session) => sessions.push(session),
-            Err(failure) => {
-                if !transport.partial_results {
-                    return Err(failure.into());
-                }
-                failures.push(failure);
-            }
-        }
-    }
-    let session_of_unit: HashMap<usize, usize> =
-        sessions.iter().enumerate().map(|(i, s)| (s.unit, i)).collect();
-
-    let (tx, rx) = ChannelTransport.pair(transport.channel_capacity.max(1));
-    let depth = SharedGauge::new();
-    let batch_cfg = cfg.batch;
-    let columnar = transport.columnar;
-    let max = batch_cfg.max_batch.max(1);
-    let ack_timeout = Duration::from_millis(if transport.send_timeout_ms > 0 {
-        transport.send_timeout_ms
-    } else {
-        HANDSHAKE_FALLBACK_MS
-    });
-
-    let outcomes: Vec<Mutex<Option<UnitOutcome>>> =
-        sessions.iter().map(|_| Mutex::new(None)).collect();
-    let fed: Vec<AtomicU64> = sessions.iter().map(|_| AtomicU64::new(0)).collect();
-    let shared_failures: Mutex<Vec<HostFailure>> = Mutex::new(Vec::new());
-    let shutdown_handles: Vec<DuplexStream> = sessions
-        .iter()
-        .map(|s| s.stream.try_clone())
-        .collect::<Result<_, _>>()
-        .map_err(|e| link_failure(agg, 0, e))?;
-
-    let mut repartitions = 0u64;
-    let mut migrated = 0u64;
-    let mut pause_ms = 0.0f64;
-    let mut peak_imbalance = 1.0f64;
-
-    let central = std::thread::scope(|scope| {
-        let mut cmd_txs: Vec<Option<chan::Sender<HostCmd>>> = Vec::with_capacity(sessions.len());
-        let mut ack_rxs: Vec<chan::Receiver<Bytes>> = Vec::with_capacity(sessions.len());
-        for (i, session) in sessions.iter().enumerate() {
-            let (cmd_tx, cmd_rx) = chan::unbounded::<HostCmd>();
-            let (ack_tx, ack_rx) = chan::unbounded::<Bytes>();
-            ack_rxs.push(ack_rx);
             let clones = session
                 .stream
                 .try_clone()
@@ -829,95 +337,83 @@ fn run_remote_adaptive(
             let (write_stream, read_stream) = match clones {
                 Ok(pair) => pair,
                 Err(e) => {
-                    shared_failures
-                        .lock()
-                        .unwrap()
-                        .push(link_failure(session.host, 0, e));
-                    cmd_txs.push(None);
+                    record(e, 0);
                     continue;
                 }
             };
-            cmd_txs.push(Some(cmd_tx));
+            let (cmd_tx, cmd_rx) = chan::unbounded::<HostCmd>();
+            let (ack_tx, ack_rx) = chan::unbounded::<Bytes>();
+            links.hosts[session.unit] = Some((cmd_tx, ack_rx));
             let fed_i = &fed[i];
-            let host = session.host;
-            let shared_failures = &shared_failures;
 
-            // Writer: drain the command queue into the socket.
+            // Writer: drain the command queue into the socket — one
+            // `Data` frame per splitter batch — then `Eos` once the
+            // queue closes (end of stream or an abort path).
             scope.spawn(move || {
-                use std::io::Write;
                 let mut writer = BufWriter::new(write_stream);
-                let mut stage = ColumnBatch::new(0);
                 let mut enc_scratch = BytesMut::new();
                 let mut ctl_scratch = BytesMut::new();
                 let mut sent: u64 = 0;
                 let outcome: Result<(), String> = (|| {
                     while let Ok(cmd) = cmd_rx.recv() {
                         match cmd {
-                            HostCmd::Feed(scan, batch) => {
-                                let frame = encode_feed_frame(
-                                    &batch,
-                                    columnar,
-                                    &mut stage,
-                                    &mut enc_scratch,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                write_control(
-                                    &mut writer,
-                                    &ControlFrame::Data {
-                                        producer: scan,
+                            HostCmd::Feed(batches) => {
+                                for (scan, batch) in batches {
+                                    let frame = if transport.columnar {
+                                        encode_column_batch(&batch, &mut enc_scratch)
+                                    } else {
+                                        encode_batch(&batch.to_rows(), &mut enc_scratch)
+                                    }
+                                    .map_err(|e| e.to_string())?;
+                                    let data = ControlFrame::Data {
+                                        producer: scan as u32,
                                         frame,
-                                    },
-                                    &mut ctl_scratch,
-                                )?;
-                                sent += batch.len() as u64;
-                                fed_i.store(sent, Ordering::Relaxed);
+                                    };
+                                    write_control(&mut writer, &data, &mut ctl_scratch)?;
+                                    sent += batch.rows() as u64;
+                                    fed_i.store(sent, Ordering::Relaxed);
+                                }
                             }
                             HostCmd::Migrate(payload) => {
-                                write_control(
-                                    &mut writer,
-                                    &ControlFrame::Migrate(payload),
-                                    &mut ctl_scratch,
-                                )?;
+                                let cmd = ControlFrame::Migrate(payload);
+                                write_control(&mut writer, &cmd, &mut ctl_scratch)?;
                                 writer.flush().map_err(|e| e.to_string())?;
                             }
-                            HostCmd::Eos => break,
                         }
                     }
-                    // Reached on Eos *and* when the driver drops the
-                    // queue on an abort path: either way, close the
-                    // feed so the host can finish.
                     write_control(&mut writer, &ControlFrame::Eos, &mut ctl_scratch)?;
                     writer.flush().map_err(|e| e.to_string())
                 })();
                 if let Err(msg) = outcome {
-                    shared_failures
-                        .lock()
-                        .unwrap()
-                        .push(link_failure(host, sent, msg));
+                    record(msg, sent);
                 }
             });
 
             // Reader pump: boundary Data frames into the central
-            // channel, MigrateAck payloads to the driver, terminal
-            // Result into the outcome slot.
+            // channel, MigrateAck payloads to the driver, the terminal
+            // Result into the outcome slot; everything else is a typed
+            // Link failure.
             let mut sink = tx.clone();
             let depth = &depth;
             let outcome_slot = &outcomes[i];
-            let fed_i = &fed[i];
             scope.spawn(move || {
                 let mut stream = read_stream;
                 let failure = loop {
                     match read_control(&mut stream) {
                         Ok(Some(ControlFrame::Data { producer, frame })) => {
                             depth.inc();
-                            match sink.send((producer as NodeId, frame)) {
-                                Ok(crate::link::SendOutcome::Closed) | Err(_) => break None,
-                                _ => {}
+                            // Central gone (strict-mode abort): stop
+                            // pumping; sockets are shut down by the
+                            // driver.
+                            if let Ok(SendOutcome::Closed) | Err(_) =
+                                sink.send((producer as NodeId, frame))
+                            {
+                                break None;
                             }
                         }
+                        // Driver gone (abort path): keep pumping
+                        // boundary frames regardless.
                         Ok(Some(ControlFrame::MigrateAck(payload))) => {
-                            // Driver gone (abort path): keep pumping
-                            // boundary frames regardless.
                             let _ = ack_tx.send(payload);
                         }
                         Ok(Some(ControlFrame::Result(payload))) => {
@@ -935,454 +431,156 @@ fn run_remote_adaptive(
                         Ok(Some(ControlFrame::Eos)) => continue,
                         Ok(Some(other)) => break Some(format!("protocol violation: {other:?}")),
                         Ok(None) => break Some("connection closed before result".into()),
-                        Err(e @ LinkError::MidFrame { .. }) => break Some(e.to_string()),
                         Err(e) => break Some(e.to_string()),
                     }
                 };
                 if let Some(msg) = failure {
-                    shared_failures.lock().unwrap().push(link_failure(
-                        host,
-                        fed_i.load(Ordering::Relaxed),
-                        msg,
-                    ));
+                    record(msg, fed_i.load(Ordering::Relaxed));
                 }
             });
         }
         drop(tx);
-
-        let central_feed = std::mem::take(&mut per_unit_feed[0]);
-        let central_handle = scope.spawn(|| {
-            run_central_unit(
-                &slices[0],
-                central_feed,
-                batch_cfg,
-                columnar,
-                rx,
-                &depth,
-                &plan.host,
-                &transport,
-                agg,
-            )
+        let (feed_tx, feed_rx) = chan::bounded(1);
+        links.central = Some(feed_tx);
+        // Dropping the links at end of stream makes each writer append
+        // Eos behind its queued feed.
+        let (reb, central) = split_beside_central(scope, dep.splitter(cfg), links, || {
+            run_central_unit(&dep.slices[0], feed_rx, cfg, rx, &depth, &plan.host)
         });
-
-        // One absorb round trip: encode per-session batches, send,
-        // collect acks. Returns false if any destination died.
-        let absorb_round = |cmd_txs: &mut Vec<Option<chan::Sender<HostCmd>>>,
-                            mut by_session: HashMap<usize, Vec<(u32, Vec<Tuple>)>>|
-         -> bool {
-            let mut ok = true;
-            let mut scratch = BytesMut::new();
-            let mut sent_to = Vec::new();
-            let mut sis: Vec<usize> = by_session.keys().copied().collect();
-            sis.sort_unstable();
-            for si in sis {
-                let batches = by_session.remove(&si).expect("keyed by session");
-                let payload = match encode_migrate_cmd(&MigrateCmd::Absorb { batches }, &mut scratch)
-                {
-                    Ok(p) => p,
-                    Err(_) => {
-                        ok = false;
-                        continue;
-                    }
-                };
-                let sent = match &cmd_txs[si] {
-                    Some(tx) => tx.send(HostCmd::Migrate(payload)).is_ok(),
-                    None => false,
-                };
-                if sent {
-                    sent_to.push(si);
-                } else {
-                    cmd_txs[si] = None;
-                    ok = false;
-                }
-            }
-            for si in sent_to {
-                let acked = ack_rxs[si]
-                    .recv_timeout(ack_timeout)
-                    .ok()
-                    .and_then(|p| decode_migrate_reply(p).ok())
-                    .is_some();
-                if !acked {
-                    cmd_txs[si] = None;
-                    ok = false;
-                }
-            }
-            ok
-        };
-
-        // One drain-and-handoff attempt, transactional up to the first
-        // absorb — the same phase discipline as the threaded runner.
-        let migrate = |cmd_txs: &mut Vec<Option<chan::Sender<HostCmd>>>,
-                       next: &[u32],
-                       boundary: u64|
-         -> RemoteMigrateReport {
-            let abort = RemoteMigrateReport {
-                moved: None,
-                host_died: true,
-            };
-            // Coordinator-side routing partitioners bound to the new
-            // table, one per replica family.
-            let mut keyps = Vec::with_capacity(spec.families.len());
-            for fam in &spec.families {
-                let mut kp = match HashPartitioner::with_buckets(
-                    set,
-                    &fam.schema,
-                    m,
-                    reb.buckets_per_partition,
-                ) {
-                    Ok(kp) => kp,
-                    Err(_) => {
-                        return RemoteMigrateReport {
-                            moved: None,
-                            host_died: false,
-                        }
-                    }
-                };
-                kp.set_assignment(next.to_vec());
-                keyps.push(kp);
-            }
-
-            // Build every extract payload before sending anything: a
-            // failure here aborts with all state still in place.
-            let mut enc_scratch = BytesMut::new();
-            let mut outbound: Vec<(usize, Bytes)> = Vec::new();
-            for &u in &units {
-                let Some(&si) = session_of_unit.get(&u) else {
-                    return abort;
-                };
-                let jobs: Vec<(u32, Vec<u32>)> = members_by_unit[&u]
-                    .iter()
-                    .map(|&node| {
-                        let fi = fam_of[&node];
-                        let mem = spec.families[fi]
-                            .members
-                            .iter()
-                            .find(|mb| mb.node == node)
-                            .expect("member of its own family");
-                        (slices[u].local[&node] as u32, mem.partitions.clone())
-                    })
-                    .collect();
-                let cmd = MigrateCmd::Extract {
-                    boundary,
-                    partitions: m as u32,
-                    buckets_per_partition: reb.buckets_per_partition as u32,
-                    assignment: next.to_vec(),
-                    set: set.clone(),
-                    jobs,
-                };
-                match encode_migrate_cmd(&cmd, &mut enc_scratch) {
-                    Ok(payload) => outbound.push((si, payload)),
-                    Err(_) => {
-                        return RemoteMigrateReport {
-                            moved: None,
-                            host_died: false,
-                        }
-                    }
-                }
-            }
-
-            // Flush-and-extract round trip to every leaf session. The
-            // global barrier holds because no absorb goes out until
-            // every ack is in: by then the whole fleet is flushed to
-            // the boundary.
-            let mut pending: Vec<usize> = Vec::new();
-            let mut any_dead = false;
-            for (si, payload) in outbound {
-                let sent = match &cmd_txs[si] {
-                    Some(tx) => tx.send(HostCmd::Migrate(payload)).is_ok(),
-                    None => false,
-                };
-                if sent {
-                    pending.push(si);
-                } else {
-                    cmd_txs[si] = None;
-                    any_dead = true;
-                }
-            }
-            let mut extracted: Vec<(NodeId, Vec<Tuple>)> = Vec::new();
-            for si in pending {
-                let u = sessions[si].unit;
-                let batches = ack_rxs[si]
-                    .recv_timeout(ack_timeout)
-                    .ok()
-                    .and_then(|p| decode_migrate_reply(p).ok());
-                match batches {
-                    Some(batches) => {
-                        for (l, rows) in batches {
-                            match global_of[u].get(&l) {
-                                Some(&g) => extracted.push((g, rows)),
-                                None => any_dead = true,
-                            }
-                        }
-                    }
-                    None => {
-                        cmd_txs[si] = None;
-                        any_dead = true;
-                    }
-                }
-            }
-            if any_dead {
-                // Hand every extracted row back to its source engine
-                // (best effort) so the survivors keep a consistent
-                // picture under the *old* table.
-                let mut by_session: HashMap<usize, Vec<(u32, Vec<Tuple>)>> = HashMap::new();
-                for (node, rows) in extracted {
-                    let u = unit_of[node];
-                    if let Some(&si) = session_of_unit.get(&u) {
-                        by_session
-                            .entry(si)
-                            .or_default()
-                            .push((slices[u].local[&node] as u32, rows));
-                    }
-                }
-                absorb_round(cmd_txs, by_session);
-                return abort;
-            }
-
-            // Route by the new table and absorb at the destinations.
-            let mut per_node: HashMap<NodeId, Vec<Tuple>> = HashMap::new();
-            for (node, rows) in extracted {
-                let fi = fam_of[&node];
-                let fam = &spec.families[fi];
-                for row in rows {
-                    let p = keyps[fi].partition(&row) as u32;
-                    let dest = fam
-                        .member_of_partition(p)
-                        .expect("spec covers every partition")
-                        .node;
-                    per_node.entry(dest).or_default().push(row);
-                }
-            }
-            let mut moved = 0u64;
-            let mut by_session: HashMap<usize, Vec<(u32, Vec<Tuple>)>> = HashMap::new();
-            let mut dests: Vec<NodeId> = per_node.keys().copied().collect();
-            dests.sort_unstable();
-            for node in dests {
-                let rows = per_node.remove(&node).expect("keyed by nodes");
-                moved += rows.len() as u64;
-                let u = unit_of[node];
-                // An extracted row's bucket moved, and moved buckets
-                // never land on the pinned aggregator host.
-                let &si = session_of_unit
-                    .get(&u)
-                    .expect("pinned host never receives migrated state");
-                by_session
-                    .entry(si)
-                    .or_default()
-                    .push((slices[u].local[&node] as u32, rows));
-            }
-            let ok = absorb_round(cmd_txs, by_session);
-            RemoteMigrateReport {
-                moved: Some(moved),
-                host_died: !ok,
-            }
-        };
-
-        // The adaptive splitter loop — the same epoch segmentation and
-        // gauge accounting as the in-process runner, minus the pinned
-        // partitions (their feed went to the central unit up front, but
-        // their tuples still count toward the load gauges).
-        let send_feed =
-            |cmd_txs: &mut Vec<Option<chan::Sender<HostCmd>>>, p: usize, batch: Vec<Tuple>| {
-                let scan = scan_of[p];
-                if let Some(&si) = session_of_unit.get(&unit_of[scan]) {
-                    if let Some(tx) = &cmd_txs[si] {
-                        if tx.send(HostCmd::Feed(scan as u32, batch)).is_err() {
-                            cmd_txs[si] = None;
-                        }
-                    }
-                }
-            };
-        let mut detector = ImbalanceDetector::new(reb);
-        let mut host_tuples = vec![0u64; hosts_n];
-        let mut bucket_tuples = vec![0u64; splitter.bucket_count()];
-        let mut bufs: Vec<Vec<Tuple>> = vec![Vec::new(); m];
-        let mut migrations_enabled = true;
-        let mut parts: Vec<u32> = Vec::new();
-        let mut buckets: Vec<u32> = Vec::new();
-        let mut hashes: Vec<u64> = Vec::new();
-        let mut sketch = KeySketch::with_defaults();
-        let t0 = trace
-            .first()
-            .map(|t| t.get(tidx).as_u64().unwrap_or(0))
-            .unwrap_or(0);
-        let mut epoch_end = t0 + reb.sample_secs;
-        let mut start = 0usize;
-        while start < trace.len() {
-            let mut end = start;
-            while end < trace.len() && trace[end].get(tidx).as_u64().unwrap_or(0) < epoch_end {
-                end += 1;
-            }
-            for chunk in trace[start..end].chunks(max) {
-                let lane_ok = {
-                    let mut cols = ColumnBatch::from_rows(chunk);
-                    cols.dict_encode_strings();
-                    splitter.route_columns_hashed(&cols, &mut parts, &mut buckets, &mut hashes)
-                };
-                for (i, tuple) in chunk.iter().enumerate() {
-                    let (p, b) = if lane_ok {
-                        sketch.observe(hashes[i]);
-                        (parts[i] as usize, buckets[i] as usize)
-                    } else {
-                        sketch.observe(splitter.key_hash(tuple));
-                        (splitter.partition(tuple), splitter.bucket(tuple))
-                    };
-                    host_tuples[plan.partitioning.host_of_partition(p)] += 1;
-                    bucket_tuples[b] += 1;
-                    if unit_of[scan_of[p]] != 0 {
-                        bufs[p].push(tuple.clone());
-                        if bufs[p].len() >= max {
-                            send_feed(&mut cmd_txs, p, std::mem::take(&mut bufs[p]));
-                        }
-                    }
-                }
-            }
-            // Epoch boundary: residue in ascending scan order — the
-            // drain barrier needs every routed tuple inside its engine.
-            let mut order: Vec<usize> = (0..m).collect();
-            order.sort_unstable_by_key(|&p| scan_of[p]);
-            for p in order {
-                if !bufs[p].is_empty() {
-                    send_feed(&mut cmd_txs, p, std::mem::take(&mut bufs[p]));
-                }
-            }
-            if end < trace.len() {
-                peak_imbalance = peak_imbalance.max(rebalance::imbalance(&host_tuples));
-                if detector.observe(&host_tuples)
-                    && migrations_enabled
-                    && rebalance::hot_key_floor(&sketch, hosts_n) < reb.threshold
-                {
-                    if let Some(next) = rebalance::plan_assignment_pinned(
-                        splitter.assignment(),
-                        &bucket_tuples,
-                        m,
-                        hosts_n,
-                        Some(agg),
-                    ) {
-                        let timer = Instant::now();
-                        let report = migrate(&mut cmd_txs, &next, epoch_end);
-                        pause_ms += timer.elapsed().as_secs_f64() * 1e3;
-                        if report.host_died {
-                            migrations_enabled = false;
-                        }
-                        if let Some(n) = report.moved {
-                            migrated += n;
-                            splitter.set_assignment(next);
-                            repartitions += 1;
-                        }
-                    }
-                }
-                host_tuples.fill(0);
-                bucket_tuples.fill(0);
-                sketch.clear();
-            }
-            start = end;
-            epoch_end += reb.sample_secs;
-        }
-        // End of stream: the writers append Eos behind the queued feed.
-        for tx in cmd_txs.iter().flatten() {
-            let _ = tx.send(HostCmd::Eos);
-        }
-        drop(cmd_txs);
-
-        let central = match central_handle.join() {
-            Ok(outcome) => outcome,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        // Unblock any writer or pump still parked on a socket.
+        // Unblock any writer or pump still parked on a socket — a
+        // strict-mode abort must not leave threads behind (the scope
+        // would otherwise never join).
         for s in &shutdown_handles {
             s.shutdown();
         }
-        central
+        (reb, central)
     });
-
     let central = central?;
+    let reb = reb?;
     failures.extend(shared_failures.into_inner().unwrap());
-
-    // Stitch — identical to the static coordinator's merge.
-    let mut global_counters: Vec<OpCounters> = vec![OpCounters::default(); plan.dag.len()];
-    let mut global_metrics: Vec<OpMetrics> = vec![OpMetrics::default(); plan.dag.len()];
-    let mut outputs: Vec<(String, Vec<Tuple>)> = plan
-        .outputs
-        .iter()
-        .map(|o| {
-            (
-                o.name
-                    .clone()
-                    .unwrap_or_else(|| format!("query{}", o.logical)),
-                Vec::new(),
-            )
-        })
-        .collect();
-    for (&global, &local) in &slices[0].local {
-        global_counters[global] = central.run.counters[local];
-        global_metrics[global] = central.run.node_metrics[local].clone();
-    }
-    for (idx, rows) in central.run.outputs {
-        outputs[idx].1 = rows;
-    }
     failures.extend(central.failures);
 
-    let mut edges: Vec<EdgeTransport> = Vec::new();
-    let mut stalls: u64 = 0;
-    let mut dropped: u64 = 0;
-    for (i, session) in sessions.iter().enumerate() {
-        let outcome = outcomes[i].lock().unwrap().take();
-        let Some(outcome) = outcome else {
-            continue;
-        };
-        let slice = &slices[session.unit];
-        for (&global, &local) in &slice.local {
-            global_counters[global] = outcome.counters[local];
-            global_metrics[global] = outcome.node_metrics[local].clone();
+    // Stitch: central results in-process, leaf results from the
+    // decoded outcomes (a session without one already recorded its
+    // failure through the pump).
+    let mut runs = vec![(0, central.run)];
+    for (session, slot) in sessions.iter().zip(outcomes) {
+        if let Some(o) = slot.into_inner().unwrap() {
+            let outputs = o.outputs.into_iter().map(|(i, rows)| (i as usize, rows));
+            let run = UnitRun {
+                counters: o.counters,
+                node_metrics: o.node_metrics,
+                outputs: outputs.collect(),
+                edges: o.edges,
+                stalls: o.stalls,
+                dropped: o.dropped,
+            };
+            runs.push((session.unit, run));
         }
-        for (idx, rows) in outcome.outputs {
-            outputs[idx as usize].1 = rows;
-        }
-        edges.extend(outcome.edges);
-        stalls += outcome.stalls;
-        dropped += outcome.dropped;
     }
-
-    if !transport.partial_results {
-        if let Some(first) = failures.into_iter().next() {
-            return Err(first.into());
-        }
-        failures = Vec::new();
-    }
-
-    edges.sort_unstable_by_key(|e| e.producer);
-    let frames: u64 = edges.iter().map(|e| e.frames).sum();
-    let payload: u64 = edges.iter().map(|e| e.bytes).sum();
-    let retries: u64 = edges.iter().map(|e| e.retries).sum();
-    let transport_metrics = TransportMetrics {
-        edges,
-        frames,
-        frame_bytes: payload + frames * FRAME_HEADER_LEN as u64,
-        backpressure_stalls: stalls,
+    let link = LinkMeasure {
         queue_peak: depth.peak(),
-        retries,
-        frames_dropped: dropped,
-        frames_corrupt_dropped: central.corrupt_dropped,
-        channel_capacity: transport.channel_capacity.max(1),
-        frame_batch: transport.frame_batch.max(1),
+        corrupt_dropped: central.corrupt_dropped,
     };
+    dep.finish(cfg, runs, failures, Some(link), reb)
+}
 
-    let duration = trace_duration(&schema, trace);
-    let mut metrics = account(plan, &global_counters, duration, cfg);
-    metrics.boundary_queue_peak = transport_metrics.queue_peak;
-    metrics.transport = transport_metrics;
-    metrics.repartitions = repartitions;
-    metrics.migrated_keys = migrated;
-    metrics.migration_pause_ms = pause_ms;
-    metrics.load_imbalance = peak_imbalance;
-    Ok(SimResult {
-        metrics,
-        outputs,
-        counters: global_counters,
-        node_metrics: global_metrics,
-        failures,
-    })
+/// Coordinator→writer commands for one host session. The queue and the
+/// socket are both FIFO, so a `Migrate` reaches the host only after
+/// every feed batch queued before it — the socket counterpart of the
+/// in-process drain ordering. Closing the queue is end-of-stream.
+enum HostCmd {
+    /// One epoch's staged batches, by global scan node.
+    Feed(Vec<Feed>),
+    /// An encoded [`MigrateCmd`] payload; the writer flushes its buffer
+    /// behind it so the host sees the command promptly.
+    Migrate(Bytes),
+}
+
+/// The socket coordinator's [`Links`]: the central unit's one-shot feed
+/// channel, and per leaf unit its writer queue and acknowledgement
+/// channel (`None` once the session is gone or never deployed).
+struct RemoteLinks<'d, 'a> {
+    central: Option<chan::Sender<Vec<Feed>>>,
+    hosts: Vec<Option<(chan::Sender<HostCmd>, chan::Receiver<Bytes>)>>,
+    dep: &'d Deployment<'a>,
+    buckets_per_partition: usize,
+    ack_timeout: Duration,
+}
+
+impl RemoteLinks<'_, '_> {
+    fn command(&mut self, unit: usize, cmd: HostCmd) -> bool {
+        let sent = matches!(&self.hosts[unit], Some((tx, _)) if tx.send(cmd).is_ok());
+        if !sent {
+            self.hosts[unit] = None;
+        }
+        sent
+    }
+}
+
+impl Links for RemoteLinks<'_, '_> {
+    fn handoff(&mut self, unit: usize, batches: Vec<Feed>) {
+        if unit != 0 {
+            self.command(unit, HostCmd::Feed(batches));
+        } else if let Some(tx) = self.central.take() {
+            let _ = tx.send(batches);
+        }
+    }
+
+    fn send(&mut self, unit: usize, msg: UnitMsg) -> bool {
+        let slice = &self.dep.slices[unit];
+        let local = |g: NodeId| slice.local[&g] as u32;
+        let cmd = match msg {
+            // Hosts rebuild the key partitioner from the set and table.
+            UnitMsg::Extract { boundary, jobs } => MigrateCmd::Extract {
+                boundary,
+                partitions: self.dep.plan.partitioning.partitions as u32,
+                buckets_per_partition: self.buckets_per_partition as u32,
+                assignment: jobs
+                    .first()
+                    .map_or_else(Vec::new, |j| j.keyp.assignment().to_vec()),
+                set: match &self.dep.plan.partitioning.strategy {
+                    SplitStrategy::Hash(set) => set.clone(),
+                    SplitStrategy::RoundRobin => unreachable!("migrations run on hash splits"),
+                },
+                jobs: jobs.into_iter().map(|j| (local(j.node), j.owned)).collect(),
+            },
+            UnitMsg::Absorb(batches) => MigrateCmd::Absorb {
+                batches: batches
+                    .into_iter()
+                    .map(|(n, rows)| (local(n), rows))
+                    .collect(),
+            },
+        };
+        match encode_migrate_cmd(&cmd, &mut BytesMut::new()) {
+            Ok(payload) => self.command(unit, HostCmd::Migrate(payload)),
+            Err(_) => false,
+        }
+    }
+
+    fn reply(&mut self, unit: usize) -> Option<StateRows> {
+        let slice = &self.dep.slices[unit];
+        let global = |l: u32| {
+            slice
+                .local
+                .iter()
+                .find(|&(_, &v)| v == l as NodeId)
+                .map(|(&g, _)| g)
+        };
+        let reply = (self.hosts[unit].as_ref())
+            .and_then(|(_, acks)| acks.recv_timeout(self.ack_timeout).ok())
+            .and_then(|payload| decode_migrate_reply(payload).ok())
+            .and_then(|batches| {
+                let global_rows = batches
+                    .into_iter()
+                    .map(|(l, rows)| Some((global(l)?, rows)));
+                global_rows.collect::<Option<Vec<_>>>()
+            });
+        if reply.is_none() {
+            self.hosts[unit] = None;
+        }
+        reply
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1427,96 +625,58 @@ fn rebuild_dag(unit: &RemoteUnit) -> ExecResult<QueryDag> {
 }
 
 /// Executes one deployed unit against a stream of `Data` frames,
-/// shipping boundary frames back through `sink` as they materialize
-/// and returning the final outcome after `Eos`.
+/// shipping boundary frames back through `sink` as they materialize,
+/// answering each `Migrate` with a `MigrateAck`, and returning the
+/// final outcome after `Eos`.
 fn run_deployed_unit(
     unit: &RemoteUnit,
     dag: &QueryDag,
     stream: &mut DuplexStream,
     sink: &mut StreamSink<DuplexStream>,
 ) -> ExecResult<UnitOutcome> {
-    let host = unit.host as usize;
-    let fault = unit.fault;
-    // Injected hang: same placement as the in-process worker — once,
-    // before the first frame.
-    if fault.hang_host == Some(host) && fault.hang_millis > 0 {
-        std::thread::sleep(Duration::from_millis(fault.hang_millis));
-    }
-    let panic_at = (fault.panic_host == Some(host)).then_some(fault.panic_after_tuples);
-
-    let mut sinks: Vec<NodeId> = unit.boundary.iter().map(|&(_, l)| l as NodeId).collect();
-    for &(_, l) in &unit.outputs {
-        let l = l as NodeId;
-        if !sinks.contains(&l) {
-            sinks.push(l);
-        }
-    }
-    let mut engine = Engine::with_sinks(dag, &sinks)?;
-    engine.set_batch_config(BatchConfig::new(unit.max_batch as usize));
-
     let depth = SharedGauge::new();
-    let stalls = AtomicU64::new(0);
-    let dropped = AtomicU64::new(0);
     let tuples = AtomicU64::new(0);
-    let mut shared = TxShared {
+    let shared = TxShared {
         sink: ForwardSink(sink),
         depth: &depth,
-        stalls: &stalls,
-        dropped: &dropped,
+        stalls: 0,
+        dropped: 0,
         tuples: &tuples,
-        fault,
+        fault: unit.fault,
         send_timeout_ms: unit.send_timeout_ms,
-        host,
+        host: unit.host as usize,
     };
-    let mut edges: Vec<EdgeStage> = unit
-        .boundary
-        .iter()
-        .map(|&(g, l)| EdgeStage {
-            producer: g as NodeId,
-            local: l as NodeId,
-            pending: Vec::new(),
-            col_stage: ColumnBatch::new(dag.schema(l as NodeId).arity()),
-            seq: 0,
-            stats: EdgeTransport {
-                producer: g as usize,
-                from_host: host,
-                ..EdgeTransport::default()
-            },
-        })
-        .collect();
-    let scan_local: std::collections::HashMap<u32, NodeId> =
+    let pairs = |v: &[(u32, u32)]| -> Vec<(usize, NodeId)> {
+        v.iter().map(|&(a, l)| (a as usize, l as NodeId)).collect()
+    };
+    let mut leaf = Leaf::new(
+        dag,
+        &pairs(&unit.boundary),
+        pairs(&unit.outputs),
+        BatchConfig::new(unit.max_batch as usize),
+        unit.frame_batch.max(1) as usize,
+        unit.columnar,
+        shared,
+    )?;
+    let scan_local: HashMap<u32, NodeId> =
         unit.scans.iter().map(|&(g, l)| (g, l as NodeId)).collect();
-
     let mut scratch = BytesMut::new();
-    let mut fed: u64 = 0;
-    let frame_batch = unit.frame_batch.max(1) as usize;
     loop {
         match read_control(stream).map_err(|e| ExecError::BadPlan(format!("feed link: {e}")))? {
             Some(ControlFrame::Data { producer, frame }) => {
                 let local = *scan_local.get(&producer).ok_or_else(|| {
                     ExecError::BadPlan(format!("feed for unknown scan node {producer}"))
                 })?;
-                fed += engine.push_frame(local, frame)? as u64;
-                tuples.store(fed, Ordering::Relaxed);
-                if let Some(at) = panic_at {
-                    if fed >= at {
-                        panic!("injected worker fault after {fed} tuples (plan: panic at {at})");
-                    }
-                }
-                forward_boundary(
-                    &mut engine,
-                    &mut edges,
-                    frame_batch,
-                    unit.columnar,
-                    false,
-                    &mut scratch,
-                    &mut shared,
-                )?;
+                leaf.push_frame(local, frame)?;
             }
             Some(ControlFrame::Migrate(payload)) => {
                 let cmd = decode_migrate_cmd(payload)
                     .map_err(|e| ExecError::BadPlan(format!("migrate command corrupt: {e}")))?;
-                let reply = match cmd {
+                // Socket FIFO means every feed frame queued before this
+                // command is already in the engine: flushing to the
+                // boundary here is the same drain the in-process worker
+                // performs.
+                let msg = match cmd {
                     MigrateCmd::Extract {
                         boundary,
                         partitions,
@@ -1525,76 +685,39 @@ fn run_deployed_unit(
                         set,
                         jobs,
                     } => {
-                        // Socket FIFO means every feed frame queued
-                        // before this command is already in the engine:
-                        // flushing to the boundary here is the same
-                        // drain the in-process worker performs.
-                        for &(node, _) in &jobs {
-                            let local = node as NodeId;
-                            if local >= dag.len() {
+                        let job = |(node, owned): (u32, Vec<u32>)| {
+                            let node = node as NodeId;
+                            if node >= dag.len() {
                                 return Err(ExecError::BadPlan(format!(
                                     "migrate job for unknown node {node}"
                                 )));
                             }
-                            engine.flush_before(local, boundary)?;
-                        }
-                        forward_boundary(
-                            &mut engine,
-                            &mut edges,
-                            frame_batch,
-                            unit.columnar,
-                            false,
-                            &mut scratch,
-                            &mut shared,
-                        )?;
-                        let mut out: Vec<(u32, Vec<Tuple>)> = Vec::new();
-                        for (node, owned) in jobs {
-                            let local = node as NodeId;
                             let mut keyp = HashPartitioner::with_buckets(
                                 &set,
-                                dag.schema(local),
+                                dag.schema(node),
                                 partitions as usize,
                                 buckets_per_partition as usize,
                             )
-                            .map_err(|e| {
-                                ExecError::BadPlan(format!("migrate partitioner: {e}"))
-                            })?;
+                            .map_err(|e| ExecError::BadPlan(format!("migrate partitioner: {e}")))?;
                             keyp.set_assignment(assignment.clone());
-                            let rows = engine.extract_state(local, &mut |key| {
-                                let p = keyp.partition(&Tuple::new(key.to_vec())) as u32;
-                                !owned.contains(&p)
-                            });
-                            if !rows.is_empty() {
-                                out.push((node, rows));
-                            }
-                        }
-                        encode_migrate_reply(&out, &mut scratch)
+                            Ok(ExtractJob { node, keyp, owned })
+                        };
+                        let jobs = jobs.into_iter().map(job).collect::<ExecResult<_>>()?;
+                        UnitMsg::Extract { boundary, jobs }
                     }
-                    MigrateCmd::Absorb { batches } => {
-                        for (node, mut rows) in batches {
-                            let local = node as NodeId;
-                            if local >= dag.len() {
-                                return Err(ExecError::BadPlan(format!(
-                                    "migrate batch for unknown node {node}"
-                                )));
-                            }
-                            engine.absorb_state(local, &mut rows)?;
-                        }
-                        forward_boundary(
-                            &mut engine,
-                            &mut edges,
-                            frame_batch,
-                            unit.columnar,
-                            false,
-                            &mut scratch,
-                            &mut shared,
-                        )?;
-                        encode_migrate_reply(&[], &mut scratch)
-                    }
-                }
-                .map_err(|e| ExecError::BadPlan(format!("encode migrate reply: {e}")))?;
-                shared
-                    .sink
+                    MigrateCmd::Absorb { batches } => UnitMsg::Absorb(
+                        batches
+                            .into_iter()
+                            .map(|(n, rows)| (n as NodeId, rows))
+                            .collect(),
+                    ),
+                };
+                let rows: Vec<(u32, Vec<Tuple>)> = (leaf.migrate(msg, |n| n)?.into_iter())
+                    .map(|(n, rows)| (n as u32, rows))
+                    .collect();
+                let reply = encode_migrate_reply(&rows, &mut scratch)
+                    .map_err(|e| ExecError::BadPlan(format!("encode migrate reply: {e}")))?;
+                leaf.sink()
                     .0
                     .write_control(&ControlFrame::MigrateAck(reply))
                     .map_err(|e| ExecError::BadPlan(format!("migrate ack link: {e}")))?;
@@ -1612,30 +735,19 @@ fn run_deployed_unit(
             }
         }
     }
-    engine.finish()?;
-    forward_boundary(
-        &mut engine,
-        &mut edges,
-        frame_batch,
-        unit.columnar,
-        true,
-        &mut scratch,
-        &mut shared,
-    )?;
-
-    let outputs = unit
-        .outputs
-        .iter()
-        .map(|&(idx, l)| (idx, engine.output(l as NodeId)))
-        .collect();
+    let run = leaf.finish()?;
     Ok(UnitOutcome {
-        counters: engine.counters().to_vec(),
-        node_metrics: engine.metrics(),
-        outputs,
-        edges: edges.into_iter().map(|e| e.stats).collect(),
-        stalls: stalls.load(Ordering::Relaxed),
-        dropped: dropped.load(Ordering::Relaxed),
-        tuples_fed: fed,
+        counters: run.counters,
+        node_metrics: run.node_metrics,
+        outputs: run
+            .outputs
+            .into_iter()
+            .map(|(i, rows)| (i as u32, rows))
+            .collect(),
+        edges: run.edges,
+        stalls: run.stalls,
+        dropped: run.dropped,
+        tuples_fed: tuples.load(Ordering::Relaxed),
     })
 }
 

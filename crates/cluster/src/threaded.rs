@@ -2,32 +2,39 @@
 //! transport.
 //!
 //! Where [`crate::run_distributed`] executes the whole physical plan in
-//! one deterministic engine, this runner actually *distributes* it. The
-//! plan is decomposed into **execution units**:
+//! one deterministic engine, this runner actually *distributes* it over
+//! the splitter's execution units ([`crate::splitter`]):
 //!
 //! - the **central unit** — the aggregation tier (`plan.central`
-//!   nodes), run by the calling thread;
+//!   nodes), run by its own thread;
 //! - one **leaf unit** per independent partition pipeline — a connected
 //!   component of non-central nodes on one host — each run by its own
 //!   worker thread. A host owning N partition scans therefore runs N
 //!   workers, so a 4-host deployment scales with cores instead of
 //!   serializing each host's partitions on one thread
-//!   ([`TransportConfig::partition_parallel`]; turning it off restores
-//!   the one-thread-per-host baseline).
+//!   ([`TransportConfig::partition_parallel`](crate::TransportConfig::partition_parallel); turning it off restores
+//!   the one-thread-per-host baseline, whose central unit also runs
+//!   the aggregator host's scans).
+//!
+//! The calling thread is the splitter. Each worker receives an epoch's
+//! staged columnar batches in one channel message when the epoch
+//! closes — a static run is one epoch, routed before any unit starts —
+//! and migration messages on the same FIFO channel, so a flush+extract
+//! reaches a worker only after every batch routed before it.
 //!
 //! Boundary data crosses units as **length-prefixed wire frames** (up
-//! to [`TransportConfig::frame_batch`] tuples per frame, staged through
+//! to [`TransportConfig::frame_batch`](crate::TransportConfig::frame_batch) tuples per frame, staged through
 //! reusable scratch) over a **bounded** channel of
-//! [`TransportConfig::channel_capacity`] frames: a producer that
+//! [`TransportConfig::channel_capacity`](crate::TransportConfig::channel_capacity) frames: a producer that
 //! outruns the central consumer blocks — backpressure — instead of
 //! buffering unboundedly. Frames carry either representation: columnar
 //! (SoA) payloads ([`qap_types::encode_column_batch`], the default —
 //! the receiving engine keeps them columnar through its vectorized hot
 //! path) or row-major payloads ([`qap_types::encode_batch`], the
-//! [`TransportConfig::with_columnar`]`(false)` baseline, whose payload
+//! [`TransportConfig::with_columnar`](crate::TransportConfig::with_columnar)`(false)` baseline, whose payload
 //! length is exactly `Σ encoded_len(tuple)` — the Section 4.2.1 cost
 //! model's estimate). The encoded frames double as the *measured* byte
-//! source ([`TransportMetrics`]) either way.
+//! source ([`TransportMetrics`](crate::TransportMetrics)) either way.
 //!
 //! Results are identical to the single-threaded simulator at every
 //! capacity/frame-size setting (the engines' merge operators align
@@ -42,308 +49,427 @@
 //! [`FailureCause::Panic`]; a corrupt boundary frame surfaces as
 //! [`FailureCause::Decode`] attributed to the producing host; a peer
 //! that neither produces nor accepts a frame within
-//! [`TransportConfig::send_timeout_ms`] surfaces as
+//! [`TransportConfig::send_timeout_ms`](crate::TransportConfig::send_timeout_ms) surfaces as
 //! [`FailureCause::Timeout`] instead of deadlocking the run (producers
 //! retry a full channel with bounded backoff; the central consumer
 //! bounds its receive wait). In strict mode (the default) the first
 //! failure aborts the run as `Err(ExecError::Host(..))`; with
-//! [`TransportConfig::partial_results`] surviving hosts finish their
+//! [`TransportConfig::partial_results`](crate::TransportConfig::partial_results) surviving hosts finish their
 //! epochs and the [`SimResult`] carries the per-host failure records
 //! plus conservation-checked partial counters. A deterministic
 //! [`FaultPlan`] injects each fault class on demand for the chaos
 //! suite; the default plan injects nothing and leaves the clean path
 //! bit-identical.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use qap_exec::{
-    BatchConfig, Engine, ExecError, ExecResult, FailureCause, HostFailure, OpCounters, OpMetrics,
-};
 use crossbeam::channel as chan;
+use qap_exec::{BatchConfig, Engine, ExecError, ExecResult, FailureCause, HostFailure};
 use qap_obs::SharedGauge;
-use qap_optimizer::{DistributedPlan, SplitStrategy};
-use qap_partition::{HashPartitioner, KeySketch, PartitionSet};
-use qap_plan::{LogicalNode, NodeId, QueryDag};
+use qap_optimizer::DistributedPlan;
+use qap_plan::{NodeId, QueryDag};
 use qap_types::{
-    encode_batch, encode_column_batch, Bytes, BytesMut, ColumnBatch, Schema, Tuple,
-    FRAME_HEADER_LEN,
+    encode_batch, encode_column_batch, Bytes, BytesMut, ColumnBatch, Tuple, FRAME_HEADER_LEN,
 };
 
 use crate::link::{ChannelTransport, FrameSink, FrameSource, RecvOutcome, SendOutcome, Transport};
-use crate::rebalance::{self, ImbalanceDetector, MigrationSpec};
-use crate::sim::{account, trace_duration, SimConfig, SimResult};
-use crate::transport::{EdgeTransport, FaultPlan, TransportConfig, TransportMetrics};
+use crate::sim::{SimConfig, SimResult};
+use crate::splitter::{
+    absorb, flush_extract, push_feed, single_stream, Deployment, Feed, LinkMeasure, Links,
+    Rebalanced, Splitter, StateRows, UnitMsg, UnitPlan, UnitRun,
+};
+use crate::transport::{EdgeTransport, FaultPlan};
 
-/// One execution unit's slice of the plan.
-#[derive(Debug)]
-pub(crate) struct UnitPlan {
-    /// Executing host (for transport attribution).
-    pub(crate) host: usize,
-    pub(crate) dag: QueryDag,
-    /// global node id → local node id.
-    pub(crate) local: HashMap<NodeId, NodeId>,
-    /// global producer id → local pseudo-source id (remote inputs).
-    pub(crate) remote_in: HashMap<NodeId, NodeId>,
-    /// Global ids (in this unit) whose output crosses to another unit.
-    pub(crate) boundary: Vec<NodeId>,
-    /// Plan outputs hosted here: (output index, global node id).
-    pub(crate) outputs: Vec<(usize, NodeId)>,
-}
-
-/// Clones the sub-plan induced by `nodes` (a deterministic, topo-ordered
-/// subset), registering a pseudo-source for every edge arriving from
-/// outside the unit.
-pub(crate) fn slice_unit(plan: &DistributedPlan, nodes: &[NodeId]) -> ExecResult<UnitPlan> {
-    let mut in_unit = vec![false; plan.dag.len()];
-    for &id in nodes {
-        in_unit[id] = true;
-    }
-    // An empty node set is a decomposition bug: silently pinning a
-    // hostless unit to host 0 would mis-attribute its work (and its
-    // failures) — reject it at planning time instead.
-    let host = match nodes.first() {
-        Some(&id) => plan.host[id],
-        None => {
-            return Err(ExecError::BadPlan(
-                "execution unit has no nodes (empty component in the unit decomposition)".into(),
-            ))
-        }
-    };
-
-    let mut local: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut remote_in: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut catalog = plan.dag.catalog().clone();
-
-    // First pass: register pseudo-streams for outside producers.
-    for id in plan.dag.topo_order() {
-        if !in_unit[id] {
-            continue;
-        }
-        for child in plan.dag.node(id).children() {
-            if !in_unit[child] && !remote_in.contains_key(&child) {
-                let name = format!("__remote_{child}");
-                catalog
-                    .register(plan.dag.schema(child).renamed(name))
-                    .map_err(|e| ExecError::BadPlan(format!("pseudo-stream clash: {e}")))?;
-                remote_in.insert(child, usize::MAX); // placeholder
-            }
-        }
-    }
-    let mut dag = QueryDag::new(catalog);
-    // Deterministic pseudo-source numbering: ascending producer id.
-    let mut producers: Vec<NodeId> = remote_in.keys().copied().collect();
-    producers.sort_unstable();
-    for child in producers {
-        let sid = dag
-            .add_source(&format!("__remote_{child}"))
-            .map_err(|e| ExecError::BadPlan(format!("pseudo-source: {e}")))?;
-        remote_in.insert(child, sid);
-    }
-
-    // Second pass: clone this unit's nodes with remapped children.
-    for id in plan.dag.topo_order() {
-        if !in_unit[id] {
-            continue;
-        }
-        let remap = |c: NodeId| -> NodeId {
-            if in_unit[c] {
-                local[&c]
-            } else {
-                remote_in[&c]
-            }
-        };
-        let node = match plan.dag.node(id).clone() {
-            LogicalNode::Source { stream, partition } => {
-                let lid = dag
-                    .add_partition_source(&stream, partition.expect("physical scan"))
-                    .map_err(|e| ExecError::BadPlan(e.to_string()))?;
-                local.insert(id, lid);
-                continue;
-            }
-            LogicalNode::SelectProject {
-                input,
-                predicate,
-                projections,
-            } => LogicalNode::SelectProject {
-                input: remap(input),
-                predicate,
-                projections,
-            },
-            LogicalNode::Aggregate {
-                input,
-                predicate,
-                group_by,
-                aggregates,
-                having,
-            } => LogicalNode::Aggregate {
-                input: remap(input),
-                predicate,
-                group_by,
-                aggregates,
-                having,
-            },
-            LogicalNode::Join {
-                left,
-                right,
-                left_alias,
-                right_alias,
-                join_type,
-                temporal,
-                equi,
-                residual,
-                projections,
-            } => LogicalNode::Join {
-                left: remap(left),
-                right: remap(right),
-                left_alias,
-                right_alias,
-                join_type,
-                temporal,
-                equi,
-                residual,
-                projections,
-            },
-            LogicalNode::Merge { inputs } => LogicalNode::Merge {
-                inputs: inputs.into_iter().map(remap).collect(),
-            },
-        };
-        let lid = dag
-            .add_node(node)
-            .map_err(|e| ExecError::BadPlan(format!("unit subplan: {e}")))?;
-        local.insert(id, lid);
-    }
-
-    // Boundary producers: nodes here consumed outside the unit.
-    let mut boundary = Vec::new();
-    for id in plan.dag.topo_order() {
-        if !in_unit[id] {
-            continue;
-        }
-        let crosses = plan.dag.parents(id).into_iter().any(|p| !in_unit[p]);
-        if crosses {
-            boundary.push(id);
-        }
-    }
-    let outputs = plan
-        .outputs
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| in_unit[o.node])
-        .map(|(i, o)| (i, o.node))
-        .collect();
-
-    Ok(UnitPlan {
-        host,
-        dag,
-        local,
-        remote_in,
-        boundary,
-        outputs,
-    })
-}
-
-/// Splits the plan into execution units: element 0 is the central unit
-/// (run by the calling thread), the rest are leaf units (one worker
-/// thread each). Falls back to one-unit-per-host when the
-/// partition-parallel decomposition is not applicable (no central tier,
-/// central nodes off the aggregator host, or leaf pipelines that span
-/// hosts or consume central output).
-pub(crate) fn compute_units(
+/// Executes a distributed plan with partition-parallel worker threads
+/// and framed, bounded boundary transport. Semantically identical to
+/// [`crate::run_distributed`]; metrics are computed from the merged
+/// per-unit counters with the same accounting, plus the *measured*
+/// transport from the frame path.
+pub fn run_distributed_threaded(
     plan: &DistributedPlan,
-    agg: usize,
-    transport: &TransportConfig,
-) -> Vec<Vec<NodeId>> {
-    let n = plan.dag.len();
-    let parallel_ok = transport.partition_parallel && {
-        let mut any_central = false;
-        let mut ok = true;
-        for id in plan.dag.topo_order() {
-            if plan.central[id] {
-                any_central = true;
-                if plan.host[id] != agg {
-                    ok = false;
-                }
-            } else {
-                for c in plan.dag.node(id).children() {
-                    if plan.central[c] || plan.host[c] != plan.host[id] {
-                        ok = false;
-                    }
-                }
-            }
-        }
-        ok && any_central
-    };
+    trace: &[Tuple],
+    cfg: &SimConfig,
+) -> ExecResult<SimResult> {
+    let stream = single_stream(plan)?;
+    let dep = Deployment::new(plan, &[(&stream, trace)], Some(&cfg.transport))?;
+    let transport = cfg.transport;
+    // The boundary data path: one bounded frame channel fanning into
+    // the central unit.
+    let (tx, rx) = ChannelTransport.pair(transport.channel_capacity.max(1));
+    // Live depth of the boundary channel (in-flight frames).
+    let depth = SharedGauge::new();
+    // Per-worker progress counters, owned by the driver so a panicking
+    // worker's last consistent tuple count survives into its failure
+    // record.
+    let worker_tuples: Vec<AtomicU64> = dep.slices.iter().map(|_| AtomicU64::new(0)).collect();
+    let frame_batch = transport.frame_batch.max(1);
 
-    if parallel_ok {
-        // Union-find over the non-central subgraph: each connected
-        // component is an independently schedulable leaf pipeline.
-        let mut uf: Vec<usize> = (0..n).collect();
-        fn find(uf: &mut [usize], mut x: usize) -> usize {
-            while uf[x] != x {
-                uf[x] = uf[uf[x]];
-                x = uf[x];
-            }
-            x
+    let result = std::thread::scope(|scope| {
+        let mut links = ThreadLinks {
+            central: None,
+            workers: vec![None],
+            replies: vec![chan::unbounded().1],
+        };
+        let mut handles = Vec::new();
+        for (u, slice) in dep.slices.iter().enumerate().skip(1) {
+            let (cmd_tx, cmd_rx) = chan::unbounded();
+            let (reply_tx, reply_rx) = chan::unbounded();
+            links.workers.push(Some(cmd_tx));
+            links.replies.push(reply_rx);
+            let shared = TxShared {
+                sink: tx.clone(),
+                depth: &depth,
+                stalls: 0,
+                dropped: 0,
+                tuples: &worker_tuples[u],
+                fault: transport.fault,
+                send_timeout_ms: transport.send_timeout_ms,
+                host: slice.host,
+            };
+            let handle = scope.spawn(move || {
+                // A worker panic (organic or injected) must not
+                // propagate: catch it here and let the driver turn it
+                // into a typed HostFailure. The closure's state is
+                // moved in and abandoned on unwind, so AssertUnwindSafe
+                // is sound.
+                catch_unwind(AssertUnwindSafe(|| {
+                    let local = |g: NodeId| slice.local[&g];
+                    let boundary: Vec<_> = slice.boundary.iter().map(|&g| (g, local(g))).collect();
+                    let outputs = slice.outputs.iter().map(|&(i, g)| (i, local(g))).collect();
+                    let mut leaf = Leaf::new(
+                        &slice.dag,
+                        &boundary,
+                        outputs,
+                        cfg.batch,
+                        frame_batch,
+                        transport.columnar,
+                        shared,
+                    )?;
+                    while let Ok(cmd) = cmd_rx.recv() {
+                        match cmd {
+                            WorkerCmd::Feed(batches) => {
+                                for (scan, batch) in batches {
+                                    leaf.push(local(scan), batch)?;
+                                }
+                            }
+                            WorkerCmd::Migrate(msg) => {
+                                // An engine error drops the reply
+                                // sender: the driver reads it as a
+                                // death and the join records the cause.
+                                let _ = reply_tx.send(leaf.migrate(msg, local)?);
+                            }
+                        }
+                    }
+                    leaf.finish()
+                }))
+            });
+            handles.push((u, handle));
         }
-        for id in plan.dag.topo_order() {
-            if plan.central[id] {
-                continue;
-            }
-            for c in plan.dag.node(id).children() {
-                if !plan.central[c] {
-                    let (a, b) = (find(&mut uf, id), find(&mut uf, c));
-                    uf[a.max(b)] = a.min(b);
-                }
+        drop(tx);
+        let (feed_tx, feed_rx) = chan::bounded(1);
+        links.central = Some(feed_tx);
+        let (reb, central) = split_beside_central(scope, dep.splitter(cfg), links, || {
+            run_central_unit(&dep.slices[0], feed_rx, cfg, rx, &depth, &plan.host)
+        });
+        let mut runs = Vec::new();
+        let mut failures = Vec::new();
+        for (u, handle) in handles {
+            let host = dep.slices[u].host;
+            let fail = |cause| HostFailure {
+                host,
+                cause,
+                tuples_processed: worker_tuples[u].load(Ordering::Relaxed),
+            };
+            match handle.join().expect("catch_unwind never panics") {
+                Ok(Ok(run)) => runs.push((u, run)),
+                Ok(Err(ExecError::Host(f))) => failures.push(f),
+                Ok(Err(e)) => failures.push(fail(FailureCause::Exec(Box::new(e)))),
+                Err(payload) => failures.push(fail(FailureCause::Panic(panic_message(payload)))),
             }
         }
-        let mut groups: HashMap<usize, Vec<NodeId>> = HashMap::new();
-        for id in plan.dag.topo_order() {
-            if !plan.central[id] {
-                groups.entry(find(&mut uf, id)).or_default().push(id);
-            }
+        let central = central?;
+        runs.insert(0, (0, central.run));
+        failures.extend(central.failures);
+        Ok::<_, ExecError>((reb?, runs, failures, central.corrupt_dropped))
+    });
+    let (reb, runs, failures, corrupt_dropped) = result?;
+    let link = LinkMeasure {
+        queue_peak: depth.peak(),
+        corrupt_dropped,
+    };
+    dep.finish(cfg, runs, failures, Some(link), reb)
+}
+
+/// Runs one run's splitter into `links` beside the central unit: on
+/// its own thread while the splitter cuts epochs (it must drain
+/// boundary frames meanwhile), otherwise on this thread once every feed
+/// is routed — which also keeps the run's large transient allocations
+/// on one thread. Dropping `links` ends the stream.
+pub(crate) fn split_beside_central<'s, L: Links>(
+    scope: &'s std::thread::Scope<'s, '_>,
+    splitter: Splitter,
+    mut links: L,
+    central: impl FnOnce() -> ExecResult<CentralOutcome> + Send + 's,
+) -> (ExecResult<Rebalanced>, ExecResult<CentralOutcome>) {
+    let mut central = Some(central);
+    let spawned = (splitter.epochs()).then(|| scope.spawn(central.take().unwrap()));
+    let reb = splitter.run(&mut links);
+    drop(links);
+    let outcome = match (spawned, central) {
+        (Some(handle), _) => handle
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+        (None, run) => run.expect("central unit runs once")(),
+    };
+    (reb, outcome)
+}
+
+/// Driver→worker messages. Per-channel FIFO is the protocol's ordering
+/// guarantee: a migration message is applied after every feed queued
+/// before it, which is the drain step of drain-and-handoff. Dropping
+/// the channel is end-of-stream.
+enum WorkerCmd {
+    /// One epoch's staged batches, by global scan node.
+    Feed(Vec<Feed>),
+    Migrate(UnitMsg),
+}
+
+/// The threaded runner's [`Links`]: the central unit's one-shot feed
+/// channel, and a command and a reply channel per worker (index 0 is
+/// the central unit, which takes no commands).
+struct ThreadLinks {
+    central: Option<chan::Sender<Vec<Feed>>>,
+    workers: Vec<Option<chan::Sender<WorkerCmd>>>,
+    replies: Vec<chan::Receiver<StateRows>>,
+}
+
+impl ThreadLinks {
+    /// Sends to a live worker; a dead one is forgotten (its typed
+    /// failure is harvested at join).
+    fn command(&mut self, unit: usize, cmd: WorkerCmd) -> bool {
+        let sent = matches!(&self.workers[unit], Some(tx) if tx.send(cmd).is_ok());
+        if !sent {
+            self.workers[unit] = None;
         }
-        let central: Vec<NodeId> = plan
-            .dag
-            .topo_order()
-            .filter(|&id| plan.central[id])
-            .collect();
-        let mut leaves: Vec<Vec<NodeId>> = groups.into_values().collect();
-        // Deterministic unit order: by smallest member id.
-        leaves.sort_unstable_by_key(|g| g[0]);
-        let mut units = vec![central];
-        units.extend(leaves);
-        units
-    } else {
-        // Host-serial baseline: the aggregator host is the central
-        // unit, every other host one leaf unit.
-        let hosts = plan.partitioning.hosts;
-        let mut per_host: Vec<Vec<NodeId>> = vec![Vec::new(); hosts];
-        for id in plan.dag.topo_order() {
-            per_host[plan.host[id]].push(id);
-        }
-        let central = std::mem::take(&mut per_host[agg]);
-        let mut units = vec![central];
-        units.extend(per_host.into_iter().filter(|u| !u.is_empty()));
-        units
+        sent
     }
 }
 
-/// Everything a leaf worker's send path shares with the driver: the
-/// boundary frame sink plus telemetry counters, the fault plan, and the
-/// retry bound. One per worker (a channel sink is a cheap sender clone,
-/// a socket sink owns its stream's write half; the counters are shared
-/// references into driver-owned atomics).
+impl Links for ThreadLinks {
+    fn handoff(&mut self, unit: usize, batches: Vec<Feed>) {
+        if unit != 0 {
+            self.command(unit, WorkerCmd::Feed(batches));
+        } else if let Some(tx) = self.central.take() {
+            let _ = tx.send(batches);
+        }
+    }
+
+    fn send(&mut self, unit: usize, msg: UnitMsg) -> bool {
+        self.command(unit, WorkerCmd::Migrate(msg))
+    }
+
+    fn reply(&mut self, unit: usize) -> Option<StateRows> {
+        let reply = self.replies[unit].recv().ok();
+        if reply.is_none() {
+            self.workers[unit] = None;
+        }
+        reply
+    }
+}
+
+/// A leaf unit's engine with its boundary send path: the state a
+/// threaded worker and a remote host process share. Feeding advances
+/// the progress counter, applies the fault plan's panic knob and
+/// forwards any boundary output as frames.
+pub(crate) struct Leaf<'a, S: FrameSink> {
+    engine: Engine,
+    edges: Vec<EdgeStage>,
+    /// `(plan output index, local node)`.
+    outputs: Vec<(usize, NodeId)>,
+    frame_batch: usize,
+    columnar: bool,
+    scratch: BytesMut,
+    shared: TxShared<'a, S>,
+    fed: u64,
+    panic_at: Option<u64>,
+}
+
+impl<'a, S: FrameSink> Leaf<'a, S> {
+    /// Builds the unit's engine. An injected hang stalls here, once,
+    /// before the first frame — long enough for the consumer's receive
+    /// timeout to notice, and finite so the runner always joins.
+    /// `boundary` lists `(global, local)` producers whose output ships
+    /// as frames; `outputs` the `(plan output index, local node)` pairs
+    /// hosted here.
+    pub(crate) fn new(
+        dag: &QueryDag,
+        boundary: &[(NodeId, NodeId)],
+        outputs: Vec<(usize, NodeId)>,
+        batch: BatchConfig,
+        frame_batch: usize,
+        columnar: bool,
+        shared: TxShared<'a, S>,
+    ) -> ExecResult<Self> {
+        let fault = shared.fault;
+        if fault.hang_host == Some(shared.host) && fault.hang_millis > 0 {
+            std::thread::sleep(Duration::from_millis(fault.hang_millis));
+        }
+        let mut sinks: Vec<NodeId> = boundary.iter().map(|&(_, l)| l).collect();
+        for &(_, l) in &outputs {
+            if !sinks.contains(&l) {
+                sinks.push(l);
+            }
+        }
+        let mut engine = Engine::with_sinks(dag, &sinks)?;
+        engine.set_batch_config(batch);
+        let edges = (boundary.iter())
+            .map(|&(g, l)| EdgeStage::new(dag, g, l, shared.host))
+            .collect();
+        Ok(Leaf {
+            engine,
+            edges,
+            outputs,
+            frame_batch,
+            columnar,
+            scratch: BytesMut::new(),
+            panic_at: (fault.panic_host == Some(shared.host)).then_some(fault.panic_after_tuples),
+            shared,
+            fed: 0,
+        })
+    }
+
+    /// Feeds one splitter batch to a (local) scan in the configured
+    /// representation.
+    pub(crate) fn push(&mut self, scan: NodeId, mut batch: ColumnBatch) -> ExecResult<()> {
+        let n = batch.rows() as u64;
+        push_feed(&mut self.engine, scan, &mut batch, self.columnar)?;
+        self.advance(n)
+    }
+
+    /// Feeds one encoded splitter batch to a (local) scan.
+    pub(crate) fn push_frame(&mut self, scan: NodeId, frame: Bytes) -> ExecResult<()> {
+        let n = self.engine.push_frame(scan, frame)?;
+        self.advance(n as u64)
+    }
+
+    fn advance(&mut self, n: u64) -> ExecResult<()> {
+        self.fed += n;
+        self.shared.tuples.store(self.fed, Ordering::Relaxed);
+        if let Some(at) = self.panic_at {
+            if self.fed >= at {
+                panic!(
+                    "injected worker fault after {} tuples (plan: panic at {at})",
+                    self.fed
+                );
+            }
+        }
+        self.forward(false)
+    }
+
+    /// Applies one migration message; `local` maps its node ids to the
+    /// engine's.
+    pub(crate) fn migrate(
+        &mut self,
+        msg: UnitMsg,
+        local: impl Fn(NodeId) -> NodeId,
+    ) -> ExecResult<StateRows> {
+        let rows = match msg {
+            UnitMsg::Extract { boundary, jobs } => {
+                flush_extract(&mut self.engine, boundary, &jobs, local)?
+            }
+            UnitMsg::Absorb(batches) => {
+                absorb(&mut self.engine, batches, local)?;
+                Vec::new()
+            }
+        };
+        self.forward(false)?;
+        Ok(rows)
+    }
+
+    /// The unit's frame sink, for out-of-band control replies.
+    pub(crate) fn sink(&mut self) -> &mut S {
+        &mut self.shared.sink
+    }
+
+    /// Ends the stream: finishes the engine and ships the tail frames.
+    pub(crate) fn finish(mut self) -> ExecResult<UnitRun> {
+        self.engine.finish()?;
+        self.forward(true)?;
+        let engine = &mut self.engine;
+        Ok(UnitRun {
+            counters: engine.counters().to_vec(),
+            node_metrics: engine.metrics(),
+            outputs: (self.outputs.iter())
+                .map(|&(i, l)| (i, engine.output(l)))
+                .collect(),
+            edges: self.edges.into_iter().map(|e| e.stats).collect(),
+            stalls: self.shared.stalls,
+            dropped: self.shared.dropped,
+        })
+    }
+
+    /// Drains each boundary sink into its staging buffer and ships
+    /// every full `frame_batch`-tuple frame (plus, on `final_flush`,
+    /// the partial tail frame). Frames per edge are deterministic: the
+    /// producer's output sequence is fixed by the plan and trace, and
+    /// chunking is positional.
+    fn forward(&mut self, final_flush: bool) -> ExecResult<()> {
+        let frame_batch = self.frame_batch;
+        for edge in self.edges.iter_mut() {
+            let mut drained = self.engine.drain_output(edge.local);
+            if !drained.is_empty() {
+                if edge.pending.is_empty() {
+                    edge.pending = drained;
+                } else {
+                    edge.pending.append(&mut drained);
+                }
+            }
+            let mut start = 0;
+            while edge.pending.len() - start >= frame_batch {
+                let range = start..start + frame_batch;
+                ship(
+                    edge,
+                    range,
+                    self.columnar,
+                    &mut self.scratch,
+                    &mut self.shared,
+                )?;
+                start += frame_batch;
+            }
+            if final_flush && start < edge.pending.len() {
+                let end = edge.pending.len();
+                ship(
+                    edge,
+                    start..end,
+                    self.columnar,
+                    &mut self.scratch,
+                    &mut self.shared,
+                )?;
+                start = end;
+            }
+            if start > 0 {
+                edge.pending.drain(..start);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A leaf unit's send path: the boundary frame sink plus telemetry
+/// counters, the fault plan, and the retry bound. One per unit (a
+/// channel sink is a cheap sender clone, a socket sink owns its
+/// stream's write half; the gauge and progress counter are shared
+/// references into driver-owned state).
 pub(crate) struct TxShared<'a, S: FrameSink> {
     pub(crate) sink: S,
     /// Live boundary-buffer depth (in-flight frames).
     pub(crate) depth: &'a SharedGauge,
-    /// First-refusal backpressure stalls, run-wide.
-    pub(crate) stalls: &'a AtomicU64,
-    /// Frames discarded by the fault plan's `drop_every` knob, run-wide.
-    pub(crate) dropped: &'a AtomicU64,
+    /// First-refusal backpressure stalls.
+    pub(crate) stalls: u64,
+    /// Frames discarded by the fault plan's `drop_every` knob.
+    pub(crate) dropped: u64,
     /// Tuples this worker has fed its engine — advanced batch by batch
     /// so a panic or fault mid-run reports the last consistent count in
     /// its [`HostFailure`].
@@ -400,1097 +526,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One unit's results: stitched back into global vectors by the driver.
-pub(crate) struct UnitRun {
-    pub(crate) counters: Vec<OpCounters>,
-    pub(crate) node_metrics: Vec<OpMetrics>,
-    pub(crate) outputs: Vec<(usize, Vec<Tuple>)>,
-    pub(crate) edges: Vec<EdgeTransport>,
-}
-
-/// The splitter's routing of the raw trace: each unit's feed is a
-/// sequence of per-scan batches in arrival order. Shared by the
-/// in-process runner and the socket coordinator so every transport sees
-/// byte-identical feed batching.
-pub(crate) struct SplitterFeed {
-    /// The base stream's schema (for trace-duration accounting).
-    pub(crate) schema: Schema,
-    /// Per-unit feed, indexed like `unit_nodes`.
-    pub(crate) per_unit: Vec<Vec<(NodeId, Vec<Tuple>)>>,
-}
-
-/// Routes trace tuples to execution units via the splitter: hash or
-/// round-robin partitioning into `max_batch`-tuple staged batches, with
-/// the partial tails flushed in ascending scan-node order for
-/// determinism. Tuples are cloned exactly once (out of the shared
-/// trace, into a staging buffer).
-pub(crate) fn split_trace(
-    plan: &DistributedPlan,
-    trace: &[Tuple],
-    max_batch: usize,
-    unit_nodes: &[Vec<NodeId>],
-) -> ExecResult<SplitterFeed> {
-    let mut scan_of_partition: HashMap<u32, NodeId> = HashMap::new();
-    let mut stream_name = None;
-    for id in plan.dag.topo_order() {
-        if let LogicalNode::Source { stream, partition } = plan.dag.node(id) {
-            stream_name = Some(stream.clone());
-            scan_of_partition.insert(partition.expect("physical scan"), id);
-        }
-    }
-    let stream =
-        stream_name.ok_or_else(|| ExecError::BadPlan("plan has no source scans".into()))?;
-    let schema = plan
-        .dag
-        .catalog()
-        .get(&stream)
-        .expect("catalog has stream")
-        .clone();
-    let m = plan.partitioning.partitions;
-    let hash = match &plan.partitioning.strategy {
-        SplitStrategy::RoundRobin => None,
-        SplitStrategy::Hash(set) => Some(
-            HashPartitioner::new(set, &schema, m)
-                .map_err(|e| ExecError::BadPlan(format!("unusable partitioning set: {e}")))?,
-        ),
-    };
-
-    let mut unit_of: Vec<usize> = vec![0; plan.dag.len()];
-    for (u, nodes) in unit_nodes.iter().enumerate() {
-        for &id in nodes {
-            unit_of[id] = u;
-        }
-    }
-
-    let max = max_batch.max(1);
-    let mut per_unit: Vec<Vec<(NodeId, Vec<Tuple>)>> = vec![Vec::new(); unit_nodes.len()];
-    let mut stage: Vec<Vec<Tuple>> = vec![Vec::new(); m];
-    let mut rr = 0usize;
-    // Partition assignment is chunked through the lane fold: each chunk
-    // transposes once and hashes column-at-a-time (string lanes
-    // dictionary-encode, so distinct values hash once). Assignments are
-    // bit-identical to per-row hashing, and the staging/flush schedule
-    // is untouched, so every unit sees the row splitter's exact feed.
-    let mut parts: Vec<u32> = Vec::new();
-    for chunk in trace.chunks(max) {
-        let lane_ok = match &hash {
-            Some(h) => {
-                let mut cols = ColumnBatch::from_rows(chunk);
-                cols.dict_encode_strings();
-                h.partition_columns(&cols, &mut parts)
-            }
-            None => false,
-        };
-        for (i, t) in chunk.iter().enumerate() {
-            let p = if lane_ok {
-                parts[i] as usize
-            } else {
-                match &hash {
-                    Some(h) => h.partition(t),
-                    None => {
-                        let p = rr;
-                        rr = (rr + 1) % m;
-                        p
-                    }
-                }
-            };
-            stage[p].push(t.clone());
-            if stage[p].len() >= max {
-                let scan = scan_of_partition[&(p as u32)];
-                per_unit[unit_of[scan]].push((scan, std::mem::take(&mut stage[p])));
-            }
-        }
-    }
-    // Tail flush in ascending scan-node order, for determinism.
-    let mut tail: Vec<(NodeId, usize)> = (0..m)
-        .filter(|&p| !stage[p].is_empty())
-        .map(|p| (scan_of_partition[&(p as u32)], p))
-        .collect();
-    tail.sort_unstable();
-    for (scan, p) in tail {
-        per_unit[unit_of[scan]].push((scan, std::mem::take(&mut stage[p])));
-    }
-    Ok(SplitterFeed { schema, per_unit })
-}
-
-/// Executes a distributed plan with partition-parallel worker threads
-/// and framed, bounded boundary transport. Semantically identical to
-/// [`crate::run_distributed`]; metrics are computed from the merged
-/// per-unit counters with the same accounting, plus the *measured*
-/// [`TransportMetrics`] from the frame path.
-pub fn run_distributed_threaded(
-    plan: &DistributedPlan,
-    trace: &[Tuple],
-    cfg: &SimConfig,
-) -> ExecResult<SimResult> {
-    if cfg.transport.rebalance.enabled {
-        return run_threaded_adaptive(plan, trace, cfg);
-    }
-    let agg = plan.partitioning.aggregator_host;
-    let transport = cfg.transport;
-
-    let unit_nodes = compute_units(plan, agg, &transport);
-    // Each unit's feed is a sequence of per-scan batches; from the
-    // splitter's staging buffer batches move — into the feed, then into
-    // the unit engine — with no further materialization.
-    let SplitterFeed {
-        schema,
-        per_unit: mut per_unit_feed,
-    } = split_trace(plan, trace, cfg.batch.max_batch, &unit_nodes)?;
-
-    let slices: Vec<UnitPlan> = unit_nodes
-        .iter()
-        .map(|nodes| slice_unit(plan, nodes))
-        .collect::<ExecResult<Vec<_>>>()?;
-
-    // Leaf units must be channel-source-free: their only inputs are
-    // trace partitions (the lowering sends leaf-tier data toward the
-    // central tier, never back out), and the central unit must not ship
-    // anything onward — otherwise the single rendezvous at the central
-    // thread could deadlock.
-    for (u, s) in slices.iter().enumerate() {
-        if u != 0 && !s.remote_in.is_empty() {
-            return Err(ExecError::BadPlan(format!(
-                "leaf unit on host {} unexpectedly consumes remote streams",
-                s.host
-            )));
-        }
-    }
-    if !slices[0].boundary.is_empty() {
-        return Err(ExecError::BadPlan(
-            "central unit unexpectedly ships boundary output".into(),
-        ));
-    }
-
-    // The boundary data path: one bounded frame channel fanning into
-    // the central unit. No unbounded buffering anywhere — producers
-    // block when `channel_capacity` frames are in flight.
-    let (tx, rx) = ChannelTransport.pair(transport.channel_capacity.max(1));
-    // Live depth of the boundary channel (in-flight frames).
-    let depth = SharedGauge::new();
-    // Blocking sends observed by producers (backpressure stalls).
-    let stalls = AtomicU64::new(0);
-    // Frames discarded by the fault plan's drop knob.
-    let dropped = AtomicU64::new(0);
-
-    let mut global_counters: Vec<OpCounters> = vec![OpCounters::default(); plan.dag.len()];
-    let mut global_metrics: Vec<OpMetrics> = vec![OpMetrics::default(); plan.dag.len()];
-    let mut outputs: Vec<(String, Vec<Tuple>)> = plan
-        .outputs
-        .iter()
-        .map(|o| {
-            (
-                o.name
-                    .clone()
-                    .unwrap_or_else(|| format!("query{}", o.logical)),
-                Vec::new(),
-            )
-        })
-        .collect();
-
-    let batch_cfg = cfg.batch;
-    let frame_batch = transport.frame_batch.max(1);
-    let columnar = transport.columnar;
-    // Per-worker progress counters, owned by the driver so a panicking
-    // worker's last consistent tuple count survives into its failure
-    // record.
-    let worker_tuples: Vec<AtomicU64> = (0..slices.len()).map(|_| AtomicU64::new(0)).collect();
-    type ScopeOut = (Vec<(usize, UnitRun)>, Vec<HostFailure>, u64);
-    let result: ExecResult<ScopeOut> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (u, slice) in slices.iter().enumerate().skip(1) {
-            // Move the feed into its worker thread — the batches were
-            // materialized once at the splitter and never copied again.
-            let feed = std::mem::take(&mut per_unit_feed[u]);
-            let shared = TxShared {
-                sink: tx.clone(),
-                depth: &depth,
-                stalls: &stalls,
-                dropped: &dropped,
-                tuples: &worker_tuples[u],
-                fault: transport.fault,
-                send_timeout_ms: transport.send_timeout_ms,
-                host: slice.host,
-            };
-            handles.push((
-                u,
-                scope.spawn(move || {
-                    // A worker panic (organic or injected) must not
-                    // propagate: catch it here and let the driver turn
-                    // it into a typed HostFailure. The closure's state
-                    // is moved in and abandoned on unwind, so
-                    // AssertUnwindSafe is sound.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        run_leaf_unit(slice, feed, batch_cfg, frame_batch, columnar, shared)
-                    }))
-                }),
-            ));
-        }
-        drop(tx);
-        // The central unit runs on this thread, concurrently with the
-        // workers.
-        let central_feed = std::mem::take(&mut per_unit_feed[0]);
-        let central = run_central_unit(
-            &slices[0],
-            central_feed,
-            batch_cfg,
-            columnar,
-            rx,
-            &depth,
-            &plan.host,
-            &transport,
-            agg,
-        );
-        // Join every worker before inspecting the central result: even
-        // a failing run must not leave a thread behind (std::thread::
-        // scope would join them anyway, but collecting their outcomes
-        // here is what turns panics into typed failure records).
-        let mut runs = Vec::new();
-        let mut failures: Vec<HostFailure> = Vec::new();
-        for (u, handle) in handles {
-            let outcome = handle.join().expect("catch_unwind never panics");
-            match outcome {
-                Ok(Ok(run)) => runs.push((u, run)),
-                Ok(Err(ExecError::Host(f))) => failures.push(f),
-                Ok(Err(e)) => failures.push(HostFailure {
-                    host: slices[u].host,
-                    cause: FailureCause::Exec(Box::new(e)),
-                    tuples_processed: worker_tuples[u].load(Ordering::Relaxed),
-                }),
-                Err(payload) => failures.push(HostFailure {
-                    host: slices[u].host,
-                    cause: FailureCause::Panic(panic_message(payload)),
-                    tuples_processed: worker_tuples[u].load(Ordering::Relaxed),
-                }),
-            }
-        }
-        let central = central?;
-        runs.insert(0, (0, central.run));
-        failures.extend(central.failures);
-        if !transport.partial_results {
-            if let Some(first) = failures.into_iter().next() {
-                return Err(first.into());
-            }
-            return Ok((runs, Vec::new(), central.corrupt_dropped));
-        }
-        Ok((runs, failures, central.corrupt_dropped))
-    });
-    let (runs, failures, corrupt_dropped) = result?;
-
-    let mut edges: Vec<EdgeTransport> = Vec::new();
-    for (u, run) in runs {
-        let slice = &slices[u];
-        for (&global, &local) in &slice.local {
-            global_counters[global] = run.counters[local];
-            global_metrics[global] = run.node_metrics[local].clone();
-        }
-        for (idx, rows) in run.outputs {
-            outputs[idx].1 = rows;
-        }
-        edges.extend(run.edges);
-    }
-    edges.sort_unstable_by_key(|e| e.producer);
-    let frames: u64 = edges.iter().map(|e| e.frames).sum();
-    let payload: u64 = edges.iter().map(|e| e.bytes).sum();
-    let retries: u64 = edges.iter().map(|e| e.retries).sum();
-    let transport_metrics = TransportMetrics {
-        edges,
-        frames,
-        frame_bytes: payload + frames * FRAME_HEADER_LEN as u64,
-        backpressure_stalls: stalls.load(Ordering::Relaxed),
-        queue_peak: depth.peak(),
-        retries,
-        frames_dropped: dropped.load(Ordering::Relaxed),
-        frames_corrupt_dropped: corrupt_dropped,
-        channel_capacity: transport.channel_capacity.max(1),
-        frame_batch,
-    };
-
-    let duration = trace_duration(&schema, trace);
-    let mut metrics = account(plan, &global_counters, duration, cfg);
-    metrics.boundary_queue_peak = transport_metrics.queue_peak;
-    metrics.transport = transport_metrics;
-    Ok(SimResult {
-        metrics,
-        outputs,
-        counters: global_counters,
-        node_metrics: global_metrics,
-        failures,
-    })
-}
-
-/// One state-extraction order for a leaf worker: which aggregate to
-/// drain, the key partitioner bound to the *new* assignment table, and
-/// the partitions the member keeps (everything else ships).
-struct ExtractJob {
-    /// Global plan-node id of the member aggregate.
-    node: NodeId,
-    /// Routing partitioner over the aggregate's group-key prefix,
-    /// already carrying the next assignment table.
-    keyp: HashPartitioner,
-    /// Partitions this member still owns under the new table (sorted).
-    owned: Vec<u32>,
-}
-
-/// Driver→worker commands of the adaptive runner. Per-channel FIFO is
-/// the protocol's ordering guarantee: a `Flush` ack certifies every
-/// earlier `Feed` on the same channel was applied, which is exactly the
-/// drain step of drain-and-handoff. Dropping the channel is
-/// end-of-stream.
-enum WorkerCmd {
-    /// Route one splitter batch into the given (global) scan.
-    Feed(NodeId, Vec<Tuple>),
-    /// Force-close windows before the boundary on the listed (global)
-    /// aggregates, then ack success.
-    Flush(u64, Vec<NodeId>, chan::Sender<bool>),
-    /// Extract re-routed group state; reply with `(global node, rows)`.
-    Extract(Vec<ExtractJob>, chan::Sender<Vec<(NodeId, Vec<Tuple>)>>),
-    /// Merge shipped state rows into the listed (global) aggregates,
-    /// then ack success.
-    Absorb(Vec<(NodeId, Vec<Tuple>)>, chan::Sender<bool>),
-}
-
-/// Command-driven variant of [`run_leaf_unit`]: the driver thread
-/// streams `Feed` batches epoch by epoch and brackets each migration
-/// with `Flush` → `Extract` → `Absorb`. Engine errors during a
-/// migration command are acked as failure *and* returned, so the driver
-/// can abort the handoff while the join harvest still records the typed
-/// cause. Fault injection (hang, panic-after-N-tuples) matches the
-/// static worker.
-fn run_leaf_unit_adaptive<S: FrameSink>(
-    slice: &UnitPlan,
-    rx: chan::Receiver<WorkerCmd>,
-    batch_cfg: BatchConfig,
-    frame_batch: usize,
-    columnar: bool,
-    mut shared: TxShared<'_, S>,
-) -> ExecResult<UnitRun> {
-    if shared.fault.hang_host == Some(shared.host) && shared.fault.hang_millis > 0 {
-        std::thread::sleep(Duration::from_millis(shared.fault.hang_millis));
-    }
-    let panic_at =
-        (shared.fault.panic_host == Some(shared.host)).then_some(shared.fault.panic_after_tuples);
-
-    let mut sinks: Vec<NodeId> = slice.boundary.iter().map(|&g| slice.local[&g]).collect();
-    for &(_, g) in &slice.outputs {
-        let l = slice.local[&g];
-        if !sinks.contains(&l) {
-            sinks.push(l);
-        }
-    }
-    let mut engine = Engine::with_sinks(&slice.dag, &sinks)?;
-    engine.set_batch_config(batch_cfg);
-    let mut edges: Vec<EdgeStage> = slice
-        .boundary
-        .iter()
-        .map(|&g| EdgeStage::new(slice, g))
-        .collect();
-    let mut scratch = BytesMut::new();
-    let mut feed_stage = ColumnBatch::new(0);
-
-    let mut fed: u64 = 0;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            WorkerCmd::Feed(scan_global, mut batch) => {
-                let batch_len = batch.len() as u64;
-                feed_engine(
-                    &mut engine,
-                    slice.local[&scan_global],
-                    &mut batch,
-                    columnar,
-                    &mut feed_stage,
-                )?;
-                fed += batch_len;
-                shared.tuples.store(fed, Ordering::Relaxed);
-                if let Some(at) = panic_at {
-                    if fed >= at {
-                        panic!("injected worker fault after {fed} tuples (plan: panic at {at})");
-                    }
-                }
-                forward_boundary(
-                    &mut engine,
-                    &mut edges,
-                    frame_batch,
-                    columnar,
-                    false,
-                    &mut scratch,
-                    &mut shared,
-                )?;
-            }
-            WorkerCmd::Flush(boundary, nodes, ack) => {
-                let r = (|| -> ExecResult<()> {
-                    for g in &nodes {
-                        engine.flush_before(slice.local[g], boundary)?;
-                    }
-                    forward_boundary(
-                        &mut engine,
-                        &mut edges,
-                        frame_batch,
-                        columnar,
-                        false,
-                        &mut scratch,
-                        &mut shared,
-                    )
-                })();
-                match r {
-                    Ok(()) => {
-                        let _ = ack.send(true);
-                    }
-                    Err(e) => {
-                        let _ = ack.send(false);
-                        return Err(e);
-                    }
-                }
-            }
-            WorkerCmd::Extract(jobs, reply) => {
-                let mut out = Vec::new();
-                for job in jobs {
-                    let ExtractJob { node, keyp, owned } = job;
-                    let local = slice.local[&node];
-                    let rows = engine.extract_state(local, &mut |key| {
-                        let p = keyp.partition(&Tuple::new(key.to_vec())) as u32;
-                        !owned.contains(&p)
-                    });
-                    if !rows.is_empty() {
-                        out.push((node, rows));
-                    }
-                }
-                let _ = reply.send(out);
-            }
-            WorkerCmd::Absorb(batches, ack) => {
-                let r = (|| -> ExecResult<()> {
-                    for (g, mut rows) in batches {
-                        engine.absorb_state(slice.local[&g], &mut rows)?;
-                    }
-                    forward_boundary(
-                        &mut engine,
-                        &mut edges,
-                        frame_batch,
-                        columnar,
-                        false,
-                        &mut scratch,
-                        &mut shared,
-                    )
-                })();
-                match r {
-                    Ok(()) => {
-                        let _ = ack.send(true);
-                    }
-                    Err(e) => {
-                        let _ = ack.send(false);
-                        return Err(e);
-                    }
-                }
-            }
-        }
-    }
-    engine.finish()?;
-    forward_boundary(
-        &mut engine,
-        &mut edges,
-        frame_batch,
-        columnar,
-        true,
-        &mut scratch,
-        &mut shared,
-    )?;
-    let counters = engine.counters().to_vec();
-    let node_metrics = engine.metrics();
-    let outputs = slice
-        .outputs
-        .iter()
-        .map(|&(idx, g)| (idx, engine.output(slice.local[&g])))
-        .collect();
-    Ok(UnitRun {
-        counters,
-        node_metrics,
-        outputs,
-        edges: edges.into_iter().map(|e| e.stats).collect(),
-    })
-}
-
-/// Outcome of one drain-and-handoff attempt across the worker fleet.
-struct MigrateReport {
-    /// Rows shipped; `Some` means the new assignment table takes effect
-    /// (`None` = aborted before any state left its engine — the old
-    /// table stays).
-    moved: Option<u64>,
-    /// A worker died mid-protocol. Its typed failure surfaces at join;
-    /// the driver disables further migrations (the fleet's state can no
-    /// longer be moved consistently).
-    worker_died: bool,
-}
-
-/// Drives one migration over the command channels: flush barrier on
-/// every family member, extract the re-routed groups, route the rows by
-/// the new table, absorb at the destinations. Transactional up to the
-/// first absorb: a death during flush aborts with no state moved; a
-/// death during extract hands every already-extracted row back to its
-/// source engine (best effort) and aborts; once absorbs start, the new
-/// table takes effect regardless — rows bound for a dead worker are
-/// part of that worker's failure record, exactly like tuples it would
-/// have been fed.
-#[allow(clippy::too_many_arguments)]
-fn migrate_threaded(
-    cmd_txs: &mut [Option<chan::Sender<WorkerCmd>>],
-    unit_of: &[usize],
-    spec: &MigrationSpec,
-    set: &PartitionSet,
-    partitions: usize,
-    buckets_per_partition: usize,
-    next: &[u32],
-    boundary: u64,
-) -> MigrateReport {
-    let abort = MigrateReport {
-        moved: None,
-        worker_died: true,
-    };
-    // Per-family routing partitioners bound to the *new* table.
-    let mut keyps = Vec::with_capacity(spec.families.len());
-    for fam in &spec.families {
-        let mut kp = match HashPartitioner::with_buckets(
-            set,
-            &fam.schema,
-            partitions,
-            buckets_per_partition,
-        ) {
-            Ok(kp) => kp,
-            Err(_) => {
-                return MigrateReport {
-                    moved: None,
-                    worker_died: false,
-                }
-            }
-        };
-        kp.set_assignment(next.to_vec());
-        keyps.push(kp);
-    }
-    let mut fam_of: HashMap<NodeId, usize> = HashMap::new();
-    let mut members_by_unit: HashMap<usize, Vec<NodeId>> = HashMap::new();
-    for (fi, fam) in spec.families.iter().enumerate() {
-        for mem in &fam.members {
-            fam_of.insert(mem.node, fi);
-            members_by_unit
-                .entry(unit_of[mem.node])
-                .or_default()
-                .push(mem.node);
-        }
-    }
-    let mut units: Vec<usize> = members_by_unit.keys().copied().collect();
-    units.sort_unstable();
-
-    // Phase 1 — flush barrier: every member force-closes windows before
-    // the boundary, so every shipped state row and every destination
-    // agree on the current bucket. An abort here is harmless: flushed
-    // windows are complete anyway (the feed is time-ordered and past the
-    // boundary), their results just emitted early.
-    let mut acks = Vec::new();
-    for &u in &units {
-        let (ack_tx, ack_rx) = chan::bounded(1);
-        let sent = match &cmd_txs[u] {
-            Some(ctx) => ctx
-                .send(WorkerCmd::Flush(
-                    boundary,
-                    members_by_unit[&u].clone(),
-                    ack_tx,
-                ))
-                .is_ok(),
-            None => false,
-        };
-        if !sent {
-            cmd_txs[u] = None;
-            return abort;
-        }
-        acks.push((u, ack_rx));
-    }
-    for (u, rx) in acks {
-        if !matches!(rx.recv(), Ok(true)) {
-            cmd_txs[u] = None;
-            return abort;
-        }
-    }
-
-    // Phase 2 — extract the groups whose keys re-route under the new
-    // table, from every member concurrently.
-    let mut any_dead = false;
-    let mut replies = Vec::new();
-    for &u in &units {
-        let jobs: Vec<ExtractJob> = members_by_unit[&u]
-            .iter()
-            .map(|&node| {
-                let fi = fam_of[&node];
-                let mem = spec.families[fi]
-                    .members
-                    .iter()
-                    .find(|m| m.node == node)
-                    .expect("member of its own family");
-                ExtractJob {
-                    node,
-                    keyp: keyps[fi].clone(),
-                    owned: mem.partitions.clone(),
-                }
-            })
-            .collect();
-        let (reply_tx, reply_rx) = chan::bounded(1);
-        let sent = match &cmd_txs[u] {
-            Some(ctx) => ctx.send(WorkerCmd::Extract(jobs, reply_tx)).is_ok(),
-            None => false,
-        };
-        if sent {
-            replies.push((u, reply_rx));
-        } else {
-            cmd_txs[u] = None;
-            any_dead = true;
-        }
-    }
-    let mut extracted: Vec<(NodeId, Vec<Tuple>)> = Vec::new();
-    for (u, rx) in replies {
-        match rx.recv() {
-            Ok(batch) => extracted.extend(batch),
-            Err(_) => {
-                cmd_txs[u] = None;
-                any_dead = true;
-            }
-        }
-    }
-    if any_dead {
-        // Hand every extracted row back to its source engine so the
-        // surviving workers keep a consistent picture under the *old*
-        // table (best effort — a failed return joins that worker's
-        // loss).
-        let mut by_unit: HashMap<usize, Vec<(NodeId, Vec<Tuple>)>> = HashMap::new();
-        for (node, rows) in extracted {
-            by_unit.entry(unit_of[node]).or_default().push((node, rows));
-        }
-        for (u, batches) in by_unit {
-            let (ack_tx, ack_rx) = chan::bounded(1);
-            if let Some(ctx) = &cmd_txs[u] {
-                if ctx.send(WorkerCmd::Absorb(batches, ack_tx)).is_ok() {
-                    let _ = ack_rx.recv();
-                }
-            }
-        }
-        return abort;
-    }
-
-    // Phase 3 — route by the new table and absorb at the destinations.
-    let mut per_node: HashMap<NodeId, Vec<Tuple>> = HashMap::new();
-    for (node, rows) in extracted {
-        let fi = fam_of[&node];
-        let fam = &spec.families[fi];
-        for row in rows {
-            let p = keyps[fi].partition(&row) as u32;
-            let dest = fam
-                .member_of_partition(p)
-                .expect("spec covers every partition")
-                .node;
-            per_node.entry(dest).or_default().push(row);
-        }
-    }
-    let mut moved = 0u64;
-    let mut by_unit: HashMap<usize, Vec<(NodeId, Vec<Tuple>)>> = HashMap::new();
-    let mut nodes: Vec<NodeId> = per_node.keys().copied().collect();
-    nodes.sort_unstable();
-    for node in nodes {
-        let rows = per_node.remove(&node).expect("keyed by nodes");
-        moved += rows.len() as u64;
-        by_unit.entry(unit_of[node]).or_default().push((node, rows));
-    }
-    let mut dest_units: Vec<usize> = by_unit.keys().copied().collect();
-    dest_units.sort_unstable();
-    let mut worker_died = false;
-    let mut acks = Vec::new();
-    for u in dest_units {
-        let batches = by_unit.remove(&u).expect("keyed by units");
-        let (ack_tx, ack_rx) = chan::bounded(1);
-        let sent = match &cmd_txs[u] {
-            Some(ctx) => ctx.send(WorkerCmd::Absorb(batches, ack_tx)).is_ok(),
-            None => false,
-        };
-        if sent {
-            acks.push((u, ack_rx));
-        } else {
-            cmd_txs[u] = None;
-            worker_died = true;
-        }
-    }
-    for (u, rx) in acks {
-        if !matches!(rx.recv(), Ok(true)) {
-            cmd_txs[u] = None;
-            worker_died = true;
-        }
-    }
-    MigrateReport {
-        moved: Some(moved),
-        worker_died,
-    }
-}
-
-/// The adaptive variant of the threaded runner: the calling thread
-/// *becomes the splitter* — it routes the trace epoch by epoch through
-/// a live [`HashPartitioner`] assignment table, reads the per-host load
-/// gauges at every sample boundary, and drives drain-and-handoff
-/// migrations over the worker command channels while the central unit
-/// consumes boundary frames on its own thread. Plans the migration
-/// spec rejects fall back to the static runner with the reason
-/// recorded.
-fn run_threaded_adaptive(
-    plan: &DistributedPlan,
-    trace: &[Tuple],
-    cfg: &SimConfig,
-) -> ExecResult<SimResult> {
-    let fallback = |reason: String| -> ExecResult<SimResult> {
-        let mut cfg = *cfg;
-        cfg.transport.rebalance.enabled = false;
-        let mut r = run_distributed_threaded(plan, trace, &cfg)?;
-        r.metrics.rebalance_fallback = Some(reason);
-        Ok(r)
-    };
-    let reb = cfg.transport.rebalance;
-    let spec = match rebalance::migration_spec(plan) {
-        Ok(s) => s,
-        Err(reason) => return fallback(reason),
-    };
-    let agg = plan.partitioning.aggregator_host;
-    let transport = cfg.transport;
-    let unit_nodes = compute_units(plan, agg, &transport);
-    // The driver feeds leaf workers only: a host-serial decomposition
-    // parks the aggregator host's scans inside the central unit, where
-    // no command channel reaches them.
-    if unit_nodes[0]
-        .iter()
-        .any(|&id| matches!(plan.dag.node(id), LogicalNode::Source { .. }))
-    {
-        return fallback(
-            "host-serial unit decomposition: the central unit owns partition scans".into(),
-        );
-    }
-    let slices: Vec<UnitPlan> = unit_nodes
-        .iter()
-        .map(|nodes| slice_unit(plan, nodes))
-        .collect::<ExecResult<Vec<_>>>()?;
-    for (u, s) in slices.iter().enumerate() {
-        if u != 0 && !s.remote_in.is_empty() {
-            return Err(ExecError::BadPlan(format!(
-                "leaf unit on host {} unexpectedly consumes remote streams",
-                s.host
-            )));
-        }
-    }
-    if !slices[0].boundary.is_empty() {
-        return Err(ExecError::BadPlan(
-            "central unit unexpectedly ships boundary output".into(),
-        ));
-    }
-
-    // Stream geometry: partition → scan node → unit.
-    let mut scan_of_partition: HashMap<u32, NodeId> = HashMap::new();
-    let mut stream_name = None;
-    for id in plan.dag.topo_order() {
-        if let LogicalNode::Source { stream, partition } = plan.dag.node(id) {
-            stream_name = Some(stream.clone());
-            scan_of_partition.insert(partition.expect("physical scan"), id);
-        }
-    }
-    let stream =
-        stream_name.ok_or_else(|| ExecError::BadPlan("plan has no source scans".into()))?;
-    let schema = plan
-        .dag
-        .catalog()
-        .get(&stream)
-        .expect("catalog has stream")
-        .clone();
-    let Some(&tidx) = schema.temporal_indices().first() else {
-        return fallback(format!("stream {stream} has no time column"));
-    };
-    let SplitStrategy::Hash(set) = &plan.partitioning.strategy else {
-        unreachable!("migration_spec admits only hash strategies");
-    };
-    let m = plan.partitioning.partitions;
-    let hosts = plan.partitioning.hosts;
-    let mut splitter = HashPartitioner::with_buckets(set, &schema, m, reb.buckets_per_partition)
-        .map_err(|e| ExecError::BadPlan(format!("unusable partitioning set: {e}")))?;
-    let scan_of: Vec<NodeId> = (0..m)
-        .map(|p| {
-            scan_of_partition.get(&(p as u32)).copied().ok_or_else(|| {
-                ExecError::BadPlan(format!("plan has no scan for partition {p}"))
-            })
-        })
-        .collect::<ExecResult<_>>()?;
-    let mut unit_of: Vec<usize> = vec![0; plan.dag.len()];
-    for (u, nodes) in unit_nodes.iter().enumerate() {
-        for &id in nodes {
-            unit_of[id] = u;
-        }
-    }
-
-    let (tx, rx) = ChannelTransport.pair(transport.channel_capacity.max(1));
-    let depth = SharedGauge::new();
-    let stalls = AtomicU64::new(0);
-    let dropped = AtomicU64::new(0);
-    let worker_tuples: Vec<AtomicU64> = (0..slices.len()).map(|_| AtomicU64::new(0)).collect();
-
-    let batch_cfg = cfg.batch;
-    let frame_batch = transport.frame_batch.max(1);
-    let columnar = transport.columnar;
-    let max = batch_cfg.max_batch.max(1);
-
-    let mut repartitions = 0u64;
-    let mut migrated = 0u64;
-    let mut pause_ms = 0.0f64;
-    let mut peak_imbalance = 1.0f64;
-
-    type ScopeOut = (Vec<(usize, UnitRun)>, Vec<HostFailure>, u64);
-    let result: ExecResult<ScopeOut> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut cmd_txs: Vec<Option<chan::Sender<WorkerCmd>>> = vec![None];
-        for (u, slice) in slices.iter().enumerate().skip(1) {
-            let (cmd_tx, cmd_rx) = chan::unbounded();
-            cmd_txs.push(Some(cmd_tx));
-            let shared = TxShared {
-                sink: tx.clone(),
-                depth: &depth,
-                stalls: &stalls,
-                dropped: &dropped,
-                tuples: &worker_tuples[u],
-                fault: transport.fault,
-                send_timeout_ms: transport.send_timeout_ms,
-                host: slice.host,
-            };
-            handles.push((
-                u,
-                scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        run_leaf_unit_adaptive(
-                            slice, cmd_rx, batch_cfg, frame_batch, columnar, shared,
-                        )
-                    }))
-                }),
-            ));
-        }
-        drop(tx);
-        // The central unit gets its own thread — the calling thread is
-        // busy being the splitter.
-        let central_handle = scope.spawn(|| {
-            run_central_unit(
-                &slices[0],
-                Vec::new(),
-                batch_cfg,
-                columnar,
-                rx,
-                &depth,
-                &plan.host,
-                &transport,
-                agg,
-            )
-        });
-
-        // The adaptive splitter loop, mirroring the simulator's epoch
-        // segmentation and gauge accounting batch for batch.
-        let send_feed =
-            |cmd_txs: &mut Vec<Option<chan::Sender<WorkerCmd>>>, p: usize, batch: Vec<Tuple>| {
-                let scan = scan_of[p];
-                let u = unit_of[scan];
-                if let Some(cmd_tx) = &cmd_txs[u] {
-                    if cmd_tx.send(WorkerCmd::Feed(scan, batch)).is_err() {
-                        // Worker died; its typed failure is harvested at
-                        // join. Stop feeding it.
-                        cmd_txs[u] = None;
-                    }
-                }
-            };
-        let mut detector = ImbalanceDetector::new(reb);
-        let mut host_tuples = vec![0u64; hosts];
-        let mut bucket_tuples = vec![0u64; splitter.bucket_count()];
-        let mut bufs: Vec<Vec<Tuple>> = vec![Vec::new(); m];
-        let mut migrations_enabled = true;
-        let mut parts: Vec<u32> = Vec::new();
-        let mut buckets: Vec<u32> = Vec::new();
-        let mut hashes: Vec<u64> = Vec::new();
-        let mut sketch = KeySketch::with_defaults();
-        let t0 = trace
-            .first()
-            .map(|t| t.get(tidx).as_u64().unwrap_or(0))
-            .unwrap_or(0);
-        let mut epoch_end = t0 + reb.sample_secs;
-        let mut start = 0usize;
-        while start < trace.len() {
-            let mut end = start;
-            while end < trace.len() && trace[end].get(tidx).as_u64().unwrap_or(0) < epoch_end {
-                end += 1;
-            }
-            for chunk in trace[start..end].chunks(max) {
-                let lane_ok = {
-                    let mut cols = ColumnBatch::from_rows(chunk);
-                    cols.dict_encode_strings();
-                    splitter.route_columns_hashed(&cols, &mut parts, &mut buckets, &mut hashes)
-                };
-                for (i, tuple) in chunk.iter().enumerate() {
-                    let (p, b) = if lane_ok {
-                        sketch.observe(hashes[i]);
-                        (parts[i] as usize, buckets[i] as usize)
-                    } else {
-                        sketch.observe(splitter.key_hash(tuple));
-                        (splitter.partition(tuple), splitter.bucket(tuple))
-                    };
-                    host_tuples[plan.partitioning.host_of_partition(p)] += 1;
-                    bucket_tuples[b] += 1;
-                    bufs[p].push(tuple.clone());
-                    if bufs[p].len() >= max {
-                        send_feed(&mut cmd_txs, p, std::mem::take(&mut bufs[p]));
-                    }
-                }
-            }
-            // Epoch boundary: residue in ascending scan order (the
-            // static splitter's tail discipline) — the flush barrier
-            // needs every routed tuple inside its engine.
-            let mut order: Vec<usize> = (0..m).collect();
-            order.sort_unstable_by_key(|&p| scan_of[p]);
-            for p in order {
-                if !bufs[p].is_empty() {
-                    send_feed(&mut cmd_txs, p, std::mem::take(&mut bufs[p]));
-                }
-            }
-            if end < trace.len() {
-                peak_imbalance = peak_imbalance.max(rebalance::imbalance(&host_tuples));
-                if detector.observe(&host_tuples)
-                    && migrations_enabled
-                    && rebalance::hot_key_floor(&sketch, hosts) < reb.threshold
-                {
-                    if let Some(next) = rebalance::plan_assignment(
-                        splitter.assignment(),
-                        &bucket_tuples,
-                        m,
-                        hosts,
-                    ) {
-                        let timer = Instant::now();
-                        let report = migrate_threaded(
-                            &mut cmd_txs,
-                            &unit_of,
-                            &spec,
-                            set,
-                            m,
-                            reb.buckets_per_partition,
-                            &next,
-                            epoch_end,
-                        );
-                        pause_ms += timer.elapsed().as_secs_f64() * 1e3;
-                        if report.worker_died {
-                            migrations_enabled = false;
-                        }
-                        if let Some(n) = report.moved {
-                            migrated += n;
-                            splitter.set_assignment(next);
-                            repartitions += 1;
-                        }
-                    }
-                }
-                host_tuples.fill(0);
-                bucket_tuples.fill(0);
-                sketch.clear();
-            }
-            start = end;
-            epoch_end += reb.sample_secs;
-        }
-        // End of stream: closing the command channels lets each worker
-        // drain its queue, finish its engine, and flush its tail frames.
-        drop(cmd_txs);
-
-        let mut runs = Vec::new();
-        let mut failures: Vec<HostFailure> = Vec::new();
-        for (u, handle) in handles {
-            let outcome = handle.join().expect("catch_unwind never panics");
-            match outcome {
-                Ok(Ok(run)) => runs.push((u, run)),
-                Ok(Err(ExecError::Host(f))) => failures.push(f),
-                Ok(Err(e)) => failures.push(HostFailure {
-                    host: slices[u].host,
-                    cause: FailureCause::Exec(Box::new(e)),
-                    tuples_processed: worker_tuples[u].load(Ordering::Relaxed),
-                }),
-                Err(payload) => failures.push(HostFailure {
-                    host: slices[u].host,
-                    cause: FailureCause::Panic(panic_message(payload)),
-                    tuples_processed: worker_tuples[u].load(Ordering::Relaxed),
-                }),
-            }
-        }
-        let central = match central_handle.join() {
-            Ok(outcome) => outcome?,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        runs.insert(0, (0, central.run));
-        failures.extend(central.failures);
-        if !transport.partial_results {
-            if let Some(first) = failures.into_iter().next() {
-                return Err(first.into());
-            }
-            return Ok((runs, Vec::new(), central.corrupt_dropped));
-        }
-        Ok((runs, failures, central.corrupt_dropped))
-    });
-    let (runs, failures, corrupt_dropped) = result?;
-
-    let mut global_counters: Vec<OpCounters> = vec![OpCounters::default(); plan.dag.len()];
-    let mut global_metrics: Vec<OpMetrics> = vec![OpMetrics::default(); plan.dag.len()];
-    let mut outputs: Vec<(String, Vec<Tuple>)> = plan
-        .outputs
-        .iter()
-        .map(|o| {
-            (
-                o.name
-                    .clone()
-                    .unwrap_or_else(|| format!("query{}", o.logical)),
-                Vec::new(),
-            )
-        })
-        .collect();
-    let mut edges: Vec<EdgeTransport> = Vec::new();
-    for (u, run) in runs {
-        let slice = &slices[u];
-        for (&global, &local) in &slice.local {
-            global_counters[global] = run.counters[local];
-            global_metrics[global] = run.node_metrics[local].clone();
-        }
-        for (idx, rows) in run.outputs {
-            outputs[idx].1 = rows;
-        }
-        edges.extend(run.edges);
-    }
-    edges.sort_unstable_by_key(|e| e.producer);
-    let frames: u64 = edges.iter().map(|e| e.frames).sum();
-    let payload: u64 = edges.iter().map(|e| e.bytes).sum();
-    let retries: u64 = edges.iter().map(|e| e.retries).sum();
-    let transport_metrics = TransportMetrics {
-        edges,
-        frames,
-        frame_bytes: payload + frames * FRAME_HEADER_LEN as u64,
-        backpressure_stalls: stalls.load(Ordering::Relaxed),
-        queue_peak: depth.peak(),
-        retries,
-        frames_dropped: dropped.load(Ordering::Relaxed),
-        frames_corrupt_dropped: corrupt_dropped,
-        channel_capacity: transport.channel_capacity.max(1),
-        frame_batch,
-    };
-
-    let duration = trace_duration(&schema, trace);
-    let mut metrics = account(plan, &global_counters, duration, cfg);
-    metrics.boundary_queue_peak = transport_metrics.queue_peak;
-    metrics.transport = transport_metrics;
-    metrics.repartitions = repartitions;
-    metrics.migrated_keys = migrated;
-    metrics.migration_pause_ms = pause_ms;
-    metrics.load_imbalance = peak_imbalance;
-    Ok(SimResult {
-        metrics,
-        outputs,
-        counters: global_counters,
-        node_metrics: global_metrics,
-        failures,
-    })
-}
-
 /// Per-boundary-producer framing state within one leaf unit.
 pub(crate) struct EdgeStage {
     /// Global producer node id.
@@ -1512,175 +547,22 @@ pub(crate) struct EdgeStage {
 }
 
 impl EdgeStage {
-    /// Fresh framing state for one boundary edge of `slice`.
-    pub(crate) fn new(slice: &UnitPlan, global: NodeId) -> EdgeStage {
+    /// Fresh framing state for the edge out of `global` (local sink
+    /// `local` of `dag`) on `host`.
+    fn new(dag: &QueryDag, global: NodeId, local: NodeId, host: usize) -> EdgeStage {
         EdgeStage {
             producer: global,
-            local: slice.local[&global],
+            local,
             pending: Vec::new(),
-            col_stage: ColumnBatch::new(slice.dag.schema(slice.local[&global]).arity()),
+            col_stage: ColumnBatch::new(dag.schema(local).arity()),
             seq: 0,
             stats: EdgeTransport {
                 producer: global,
-                from_host: slice.host,
+                from_host: host,
                 ..EdgeTransport::default()
             },
         }
     }
-}
-
-/// Feeds one splitter batch to a unit engine in the configured
-/// representation: columnar transposes into the reusable `stage` batch
-/// (re-armed when a [`qap_exec::Engine::push_columns`] swap handed back
-/// a pooled batch of another arity) and enters the engine's vectorized
-/// path; row mode pushes the batch as-is.
-pub(crate) fn feed_engine(
-    engine: &mut Engine,
-    local: NodeId,
-    batch: &mut Vec<Tuple>,
-    columnar: bool,
-    stage: &mut ColumnBatch,
-) -> ExecResult<()> {
-    if !columnar || batch.is_empty() {
-        return engine.push_batch(local, batch);
-    }
-    let arity = batch[0].arity();
-    if stage.arity() != arity {
-        *stage = ColumnBatch::new(arity);
-    } else {
-        stage.clear();
-    }
-    stage.extend_rows(batch);
-    batch.clear();
-    engine.push_columns(local, stage)
-}
-
-pub(crate) fn run_leaf_unit<S: FrameSink>(
-    slice: &UnitPlan,
-    feed: Vec<(NodeId, Vec<Tuple>)>,
-    batch_cfg: BatchConfig,
-    frame_batch: usize,
-    columnar: bool,
-    mut shared: TxShared<'_, S>,
-) -> ExecResult<UnitRun> {
-    // Injected hang: stall once, before the first frame, long enough
-    // for the consumer's receive timeout to notice. Finite by
-    // construction — the scoped runner must eventually join us.
-    if shared.fault.hang_host == Some(shared.host) && shared.fault.hang_millis > 0 {
-        std::thread::sleep(Duration::from_millis(shared.fault.hang_millis));
-    }
-    let panic_at =
-        (shared.fault.panic_host == Some(shared.host)).then_some(shared.fault.panic_after_tuples);
-
-    let mut sinks: Vec<NodeId> = slice.boundary.iter().map(|&g| slice.local[&g]).collect();
-    for &(_, g) in &slice.outputs {
-        let l = slice.local[&g];
-        if !sinks.contains(&l) {
-            sinks.push(l);
-        }
-    }
-    let mut engine = Engine::with_sinks(&slice.dag, &sinks)?;
-    engine.set_batch_config(batch_cfg);
-
-    let mut edges: Vec<EdgeStage> = slice
-        .boundary
-        .iter()
-        .map(|&g| EdgeStage::new(slice, g))
-        .collect();
-    let mut scratch = BytesMut::new();
-    let mut feed_stage = ColumnBatch::new(0);
-
-    let mut fed: u64 = 0;
-    for (scan_global, mut batch) in feed {
-        let batch_len = batch.len() as u64;
-        feed_engine(
-            &mut engine,
-            slice.local[&scan_global],
-            &mut batch,
-            columnar,
-            &mut feed_stage,
-        )?;
-        fed += batch_len;
-        shared.tuples.store(fed, Ordering::Relaxed);
-        if let Some(at) = panic_at {
-            if fed >= at {
-                panic!("injected worker fault after {fed} tuples (plan: panic at {at})");
-            }
-        }
-        forward_boundary(
-            &mut engine,
-            &mut edges,
-            frame_batch,
-            columnar,
-            false,
-            &mut scratch,
-            &mut shared,
-        )?;
-    }
-    engine.finish()?;
-    forward_boundary(
-        &mut engine,
-        &mut edges,
-        frame_batch,
-        columnar,
-        true,
-        &mut scratch,
-        &mut shared,
-    )?;
-
-    let counters = engine.counters().to_vec();
-    let node_metrics = engine.metrics();
-    let outputs = slice
-        .outputs
-        .iter()
-        .map(|&(idx, g)| (idx, engine.output(slice.local[&g])))
-        .collect();
-    Ok(UnitRun {
-        counters,
-        node_metrics,
-        outputs,
-        edges: edges.into_iter().map(|e| e.stats).collect(),
-    })
-}
-
-/// Drains each boundary sink into its staging buffer and ships every
-/// full `frame_batch`-tuple frame (plus, on `final_flush`, the partial
-/// tail frame). Frames per edge are deterministic: the producer's
-/// output sequence is fixed by the plan and trace, and chunking is
-/// positional.
-pub(crate) fn forward_boundary<S: FrameSink>(
-    engine: &mut Engine,
-    edges: &mut [EdgeStage],
-    frame_batch: usize,
-    columnar: bool,
-    final_flush: bool,
-    scratch: &mut BytesMut,
-    shared: &mut TxShared<'_, S>,
-) -> ExecResult<()> {
-    for edge in edges.iter_mut() {
-        let mut drained = engine.drain_output(edge.local);
-        if !drained.is_empty() {
-            if edge.pending.is_empty() {
-                edge.pending = drained;
-            } else {
-                edge.pending.append(&mut drained);
-            }
-        }
-        let mut start = 0;
-        while edge.pending.len() - start >= frame_batch {
-            ship(edge, start..start + frame_batch, columnar, scratch, shared)?;
-            start += frame_batch;
-        }
-        if final_flush && start < edge.pending.len() {
-            let end = edge.pending.len();
-            ship(edge, start..end, columnar, scratch, shared)?;
-            start = end;
-        }
-        if start > 0 {
-            edge.pending.drain(..start);
-        }
-    }
-    Ok(())
 }
 
 /// Encodes one frame — column-contiguous through the edge's reused
@@ -1716,7 +598,7 @@ fn ship<S: FrameSink>(
         None => {
             // Dropped by the fault plan: the frame never reaches the
             // wire, so it counts as a drop, not a shipment.
-            shared.dropped.fetch_add(1, Ordering::Relaxed);
+            shared.dropped += 1;
             return Ok(());
         }
     };
@@ -1746,7 +628,7 @@ fn ship<S: FrameSink>(
             Ok(())
         }
         SendOutcome::Full(mut msg) => {
-            shared.stalls.fetch_add(1, Ordering::Relaxed);
+            shared.stalls += 1;
             if shared.send_timeout_ms == 0 {
                 // Unbounded mode: plain blocking send, as before.
                 let outcome = shared.sink.send(msg).map_err(|e| link_failure(shared, e))?;
@@ -1806,39 +688,32 @@ pub(crate) struct CentralOutcome {
     pub(crate) corrupt_dropped: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Runs the central unit: its own feed first (the splitter hands it
+/// over once, complete — empty unless host-serial mode keeps the
+/// aggregator host's scans here), then every boundary frame until the
+/// last producer hangs up.
 pub(crate) fn run_central_unit<R: FrameSource>(
     slice: &UnitPlan,
-    feed: Vec<(NodeId, Vec<Tuple>)>,
-    batch_cfg: BatchConfig,
-    columnar: bool,
+    feed: chan::Receiver<Vec<Feed>>,
+    cfg: &SimConfig,
     mut rx: R,
     depth: &SharedGauge,
     host_of: &[usize],
-    transport: &TransportConfig,
-    agg: usize,
 ) -> ExecResult<CentralOutcome> {
-    let sinks: Vec<NodeId> = slice
-        .outputs
-        .iter()
-        .map(|&(_, g)| slice.local[&g])
-        .collect();
+    let transport = cfg.transport;
+    let agg = slice.host;
+    let sinks: Vec<NodeId> = slice.outputs.iter().map(|(_, g)| slice.local[g]).collect();
     let mut engine = Engine::with_sinks(&slice.dag, &sinks)?;
-    engine.set_batch_config(batch_cfg);
-    // Local partitions first (host-serial mode keeps the aggregator
-    // host's own scans in this unit; workers stream concurrently into
-    // the channel buffer)...
-    let mut feed_stage = ColumnBatch::new(0);
-    for (scan_global, mut batch) in feed {
-        feed_engine(
+    engine.set_batch_config(cfg.batch);
+    for (scan, mut batch) in feed.recv().unwrap_or_default() {
+        push_feed(
             &mut engine,
-            slice.local[&scan_global],
+            slice.local[&scan],
             &mut batch,
-            columnar,
-            &mut feed_stage,
+            transport.columnar,
         )?;
     }
-    // ...then every boundary frame, decoded straight into the engine's
+    // Then every boundary frame, decoded straight into the engine's
     // pooled buffers; merge operators align the independently-
     // progressing inputs. Dropping `rx` on an early error unblocks any
     // producer stalled on a full channel. The receive wait is bounded
@@ -1928,6 +803,8 @@ pub(crate) fn run_central_unit<R: FrameSource>(
             node_metrics,
             outputs,
             edges: Vec::new(),
+            stalls: 0,
+            dropped: 0,
         },
         failures,
         corrupt_dropped,
@@ -1944,6 +821,8 @@ mod tests {
     use qap_types::Catalog;
 
     use crate::run_distributed;
+    use crate::splitter::{compute_units, slice_unit};
+    use crate::transport::TransportConfig;
 
     fn section_3_2() -> QueryDag {
         let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
@@ -2235,8 +1114,8 @@ mod tests {
             assert_eq!(sorted(a.1.clone()), sorted(b.1.clone()));
         }
         // Host-serial decomposition parks the aggregator's scans in the
-        // central unit, out of the driver's reach: static fallback too
-        // (on a plan the migration spec itself accepts).
+        // central unit: they are pinned, and the controller runs
+        // instead of falling back.
         let mut fb = QuerySetBuilder::new(Catalog::with_network_schemas());
         fb.add_query(
             "flows",
@@ -2252,14 +1131,7 @@ mod tests {
         let mut serial = cfg;
         serial.transport = serial.transport.host_serial();
         let r = run_distributed_threaded(&hash_plan, &trace, &serial).unwrap();
-        assert!(
-            r.metrics
-                .rebalance_fallback
-                .as_deref()
-                .is_some_and(|m| m.contains("host-serial")),
-            "got {:?}",
-            r.metrics.rebalance_fallback
-        );
+        assert_eq!(r.metrics.rebalance_fallback, None);
     }
 
     #[test]

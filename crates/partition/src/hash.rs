@@ -203,10 +203,7 @@ impl HashPartitioner {
             ),
             Some(a) => {
                 let v = a.len() as u128;
-                out.extend(
-                    hs.iter()
-                        .map(|&h| a[((u128::from(h) * v) >> 64) as usize]),
-                );
+                out.extend(hs.iter().map(|&h| a[((u128::from(h) * v) >> 64) as usize]));
             }
         }
         true

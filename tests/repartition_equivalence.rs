@@ -109,7 +109,11 @@ fn scenario_sweep(scenario: Scenario, seed: u64) {
         let sim = run_distributed(&plan, &trace, &cfg)
             .unwrap_or_else(|e| panic!("{scenario:?} hosts={hosts} sim: {e}"));
         assert!(sim.failures.is_empty(), "{scenario:?} hosts={hosts} sim");
-        assert_same_outputs(&format!("{scenario:?} hosts={hosts} sim"), &sim, &static_ref);
+        assert_same_outputs(
+            &format!("{scenario:?} hosts={hosts} sim"),
+            &sim,
+            &static_ref,
+        );
 
         let threaded = run_distributed_threaded(&plan, &trace, &cfg)
             .unwrap_or_else(|e| panic!("{scenario:?} hosts={hosts} threaded: {e}"));
@@ -166,7 +170,19 @@ fn skewed_workload_migrates_and_matches_static() {
                 format!("threaded hosts={hosts}"),
                 run_distributed_threaded(&plan, &trace, &cfg).unwrap(),
             ),
-        ] {
+        ]
+        .into_iter()
+        .chain((hosts == 4).then(|| {
+            // Host-serial units: the central unit runs the aggregator
+            // host's scans, which stay pinned while the leaf units
+            // migrate among themselves.
+            let mut serial = cfg;
+            serial.transport = serial.transport.host_serial();
+            (
+                format!("threaded host-serial hosts={hosts}"),
+                run_distributed_threaded(&plan, &trace, &serial).unwrap(),
+            )
+        })) {
             assert!(
                 result.metrics.rebalance_fallback.is_none(),
                 "{label}: fell back: {:?}",
@@ -184,6 +200,66 @@ fn skewed_workload_migrates_and_matches_static() {
             assert!(result.failures.is_empty(), "{label}");
             assert_same_outputs(&label, &result, &static_ref);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// A silent detector is the static splitter, on every runner
+// ---------------------------------------------------------------------
+
+#[test]
+fn silent_detector_matches_static_on_every_runner() {
+    let scenario = Scenario::SimpleAgg;
+    let trace = generate_skew_ramp(&SkewRampConfig {
+        base: TraceConfig::tiny(14),
+        ..SkewRampConfig::default()
+    });
+    let plan = optimize(
+        &scenario.dag(),
+        &Partitioning::hash(
+            PartitionSet::from_columns(scenario_partition_columns(scenario).iter().copied()),
+            3,
+        ),
+        &OptimizerConfig::full(),
+    )
+    .unwrap();
+    let with = |transport: TransportConfig, rebalance: RebalanceConfig| SimConfig {
+        transport: TransportConfig {
+            rebalance,
+            ..transport
+        },
+        ..SimConfig::default()
+    };
+    let silent = RebalanceConfig::adaptive().with_threshold(f64::INFINITY);
+    let remote = |transport: TransportConfig, rebalance: RebalanceConfig| {
+        let cfg = with(transport, rebalance);
+        let children = spawn_hosts(remote_host_count(&plan, &cfg));
+        let addrs: Vec<HostAddr> = children.iter().map(|c| c.addr.clone()).collect();
+        run_distributed_remote(&plan, &trace, &cfg, &addrs).unwrap()
+    };
+    let cells: [(&str, &dyn Fn(RebalanceConfig) -> SimResult); 4] = [
+        ("sim", &|r| {
+            run_distributed(&plan, &trace, &with(TransportConfig::default(), r)).unwrap()
+        }),
+        ("threaded", &|r| {
+            run_distributed_threaded(&plan, &trace, &with(TransportConfig::default(), r)).unwrap()
+        }),
+        ("threaded host-serial", &|r| {
+            let transport = TransportConfig::default().host_serial();
+            run_distributed_threaded(&plan, &trace, &with(transport, r)).unwrap()
+        }),
+        ("tcp", &|r| {
+            remote(TransportConfig::default().host_serial(), r)
+        }),
+    ];
+    for (label, run) in cells {
+        let static_ref = run(RebalanceConfig::default());
+        let result = run(silent);
+        assert_eq!(result.metrics.rebalance_fallback, None, "{label}");
+        assert_eq!(result.metrics.repartitions, 0, "{label}");
+        assert!(result.failures.is_empty(), "{label}: {:?}", result.failures);
+        assert_same_outputs(label, &result, &static_ref);
+        assert_eq!(result.counters, static_ref.counters, "{label}: counters");
     }
 }
 
