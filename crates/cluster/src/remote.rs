@@ -300,11 +300,13 @@ pub fn run_distributed_remote(
     let (tx, rx) = ChannelTransport.pair(transport.channel_capacity.max(1));
     let depth = SharedGauge::new();
     // Per-session shared state: outcome slot, coordinator-side fed
-    // counter (failure attribution), and the shutdown handle.
+    // counter (failure attribution), the writer's and the reader's
+    // failure, and the shutdown handle.
     let outcomes: Vec<Mutex<Option<UnitOutcome>>> =
         sessions.iter().map(|_| Mutex::new(None)).collect();
     let fed: Vec<AtomicU64> = sessions.iter().map(|_| AtomicU64::new(0)).collect();
-    let shared_failures: Mutex<Vec<HostFailure>> = Mutex::new(Vec::new());
+    let session_failures: Vec<SessionFailure> =
+        sessions.iter().map(|_| SessionFailure::default()).collect();
     let shutdown_handles: Vec<DuplexStream> = sessions
         .iter()
         .map(|s| s.stream.try_clone())
@@ -324,12 +326,7 @@ pub fn run_distributed_remote(
             }),
         };
         for (i, session) in sessions.iter().enumerate() {
-            let host = session.host;
-            let shared_failures = &shared_failures;
-            let record = move |msg: String, tuples: u64| {
-                let failure = link_failure(host, tuples, msg);
-                shared_failures.lock().unwrap().push(failure);
-            };
+            let failed = &session_failures[i];
             let clones = session
                 .stream
                 .try_clone()
@@ -337,7 +334,7 @@ pub fn run_distributed_remote(
             let (write_stream, read_stream) = match clones {
                 Ok(pair) => pair,
                 Err(e) => {
-                    record(e, 0);
+                    *failed.writer.lock().unwrap() = Some((e, 0));
                     continue;
                 }
             };
@@ -385,7 +382,7 @@ pub fn run_distributed_remote(
                     writer.flush().map_err(|e| e.to_string())
                 })();
                 if let Err(msg) = outcome {
-                    record(msg, sent);
+                    *failed.writer.lock().unwrap() = Some((msg, sent));
                 }
             });
 
@@ -435,7 +432,7 @@ pub fn run_distributed_remote(
                     }
                 };
                 if let Some(msg) = failure {
-                    record(msg, fed_i.load(Ordering::Relaxed));
+                    *failed.reader.lock().unwrap() = Some((msg, fed_i.load(Ordering::Relaxed)));
                 }
             });
         }
@@ -457,7 +454,11 @@ pub fn run_distributed_remote(
     });
     let central = central?;
     let reb = reb?;
-    failures.extend(shared_failures.into_inner().unwrap());
+    for (session, failed) in sessions.iter().zip(session_failures) {
+        if let Some((msg, tuples)) = failed.cause() {
+            failures.push(link_failure(session.host, tuples, msg));
+        }
+    }
     failures.extend(central.failures);
 
     // Stitch: central results in-process, leaf results from the
@@ -483,6 +484,26 @@ pub fn run_distributed_remote(
         corrupt_dropped: central.corrupt_dropped,
     };
     dep.finish(cfg, runs, failures, Some(link), reb)
+}
+
+/// How one host session failed: its writer's and its reader's error,
+/// each with the tuples fed so far.
+#[derive(Default)]
+struct SessionFailure {
+    writer: Mutex<Option<(String, u64)>>,
+    reader: Mutex<Option<(String, u64)>>,
+}
+
+impl SessionFailure {
+    /// The session's one failure. When both threads failed the reader's
+    /// cause wins: it saw what the peer actually did (a close inside a
+    /// frame, a reported error), while the writer's error is usually
+    /// its echo (a broken pipe), and which of the two is noticed first
+    /// is a race.
+    fn cause(self) -> Option<(String, u64)> {
+        let reader = self.reader.into_inner().unwrap();
+        reader.or(self.writer.into_inner().unwrap())
+    }
 }
 
 /// Coordinator→writer commands for one host session. The queue and the

@@ -773,6 +773,12 @@ struct Router {
     order: Vec<usize>,
     /// Per unit, the batches staged this epoch.
     pending: Vec<Vec<Feed>>,
+    /// The current chunk, transposed once; cleared between chunks.
+    chunk: ColumnBatch,
+    /// Per partition, the chunk rows routed to it.
+    rows_of: Vec<Vec<u32>>,
+    /// `(filling row, partition)` for partitions that fill this chunk.
+    fills: Vec<(u32, usize)>,
     parts: Vec<u32>,
     buckets: Vec<u32>,
     hashes: Vec<u64>,
@@ -804,6 +810,9 @@ impl Router {
             dest: s.scan_of.iter().map(|&n| (n, dep.unit_of[n])).collect(),
             order,
             pending: vec![Vec::new(); dep.slices.len().max(1)],
+            chunk: ColumnBatch::new(arity),
+            rows_of: vec![Vec::new(); m],
+            fills: Vec::new(),
             parts: Vec::new(),
             buckets: Vec::new(),
             hashes: Vec::new(),
@@ -813,6 +822,13 @@ impl Router {
     /// Routes `rows`, staging those of partitions `keep` selects and
     /// handing each batch on as it reaches `max` rows. `control`, when
     /// present, counts every routed row — kept or not.
+    ///
+    /// Each chunk of `max` rows is transposed once, into `self.chunk`.
+    /// Hashing reads its lanes (string lanes dictionary-encode, so each
+    /// distinct value hashes once), bit-identical to per-row hashing;
+    /// a chunk whose key lanes cannot be hashed as lanes, or a
+    /// round-robin split, assigns row by row instead. Staging then
+    /// gathers each partition's rows out of the same lanes.
     fn route<L: Links>(
         &mut self,
         rows: &[Tuple],
@@ -823,42 +839,87 @@ impl Router {
     ) -> ExecResult<()> {
         let m = self.stage.len();
         for chunk in rows.chunks(max) {
-            // Assignment is hoisted to chunk granularity: one transpose
-            // and one lane sweep per chunk (string lanes dictionary-
-            // encode, so each distinct value hashes once), bit-identical
-            // to per-row hashing.
+            self.chunk.clear();
+            self.chunk.extend_rows(chunk);
+            self.chunk.dict_encode_strings();
             let lane_ok = self.hash.as_ref().is_some_and(|h| {
-                let mut cols = ColumnBatch::from_rows(chunk);
-                cols.dict_encode_strings();
-                h.route_columns_hashed(&cols, &mut self.parts, &mut self.buckets, &mut self.hashes)
+                h.route_columns_hashed(
+                    &self.chunk,
+                    &mut self.parts,
+                    &mut self.buckets,
+                    &mut self.hashes,
+                )
             });
-            for (i, t) in chunk.iter().enumerate() {
-                let p = match &self.hash {
-                    _ if lane_ok => self.parts[i] as usize,
-                    Some(h) => h.partition(t),
-                    None => {
-                        let p = self.rr;
-                        self.rr = (p + 1) % m;
-                        p
-                    }
-                };
-                if let Some(c) = control.as_deref_mut() {
-                    let (b, k) = match &self.hash {
-                        _ if lane_ok => (self.buckets[i] as usize, self.hashes[i]),
-                        Some(h) => (h.bucket(t), h.key_hash(t)),
-                        None => unreachable!("control routes by hash"),
+            if !lane_ok {
+                self.parts.clear();
+                for t in chunk {
+                    let p = match &self.hash {
+                        Some(h) => h.partition(t),
+                        None => {
+                            let p = self.rr;
+                            self.rr = (p + 1) % m;
+                            p
+                        }
                     };
-                    c.host_tuples[c.host_of[p]] += 1;
+                    self.parts.push(p as u32);
+                }
+            }
+            if let Some(c) = control.as_deref_mut() {
+                let h = self.hash.as_ref().expect("control routes by hash");
+                for (i, t) in chunk.iter().enumerate() {
+                    let (b, k) = if lane_ok {
+                        (self.buckets[i] as usize, self.hashes[i])
+                    } else {
+                        (h.bucket(t), h.key_hash(t))
+                    };
+                    c.host_tuples[c.host_of[self.parts[i] as usize]] += 1;
                     c.bucket_tuples[b] += 1;
                     c.sketch.observe(k);
                 }
-                if keep(p) {
-                    self.stage[p].push_row(t);
-                    if self.stage[p].rows() >= max {
-                        self.emit(p, links)?;
-                    }
-                }
             }
+            self.stage_chunk(max, &keep, links)?;
+        }
+        Ok(())
+    }
+
+    /// Stages the routed chunk by gathering each kept partition's rows,
+    /// emitting batches in the order per-row staging would. A partition
+    /// holds fewer than `max` rows going in and the chunk at most `max`,
+    /// so it fills at most once per chunk: filling partitions are
+    /// emitted in order of the row that fills them, and the remainders
+    /// are gathered after.
+    fn stage_chunk<L: Links>(
+        &mut self,
+        max: usize,
+        keep: impl Fn(usize) -> bool,
+        links: &mut L,
+    ) -> ExecResult<()> {
+        self.rows_of.iter_mut().for_each(Vec::clear);
+        for (i, &p) in self.parts.iter().enumerate() {
+            self.rows_of[p as usize].push(i as u32);
+        }
+        self.fills.clear();
+        for (p, rows) in self.rows_of.iter_mut().enumerate() {
+            if !keep(p) {
+                rows.clear();
+                continue;
+            }
+            debug_assert!(self.stage[p].rows() < max, "a staged batch reached max");
+            let room = max - self.stage[p].rows();
+            if let Some(&row) = rows.get(room - 1) {
+                self.fills.push((row, p));
+            }
+        }
+        self.fills.sort_unstable();
+        for k in 0..self.fills.len() {
+            let p = self.fills[k].1;
+            let room = max - self.stage[p].rows();
+            self.stage[p].extend_gather(&self.chunk, &self.rows_of[p][..room]);
+            self.emit(p, links)?;
+            self.rows_of[p].drain(..room);
+        }
+        for (batch, rows) in self.stage.iter_mut().zip(&self.rows_of) {
+            batch.extend_gather(&self.chunk, rows);
         }
         Ok(())
     }
@@ -1135,9 +1196,11 @@ mod tests {
     use std::collections::VecDeque;
 
     use super::*;
+    use qap_expr::ScalarExpr;
     use qap_optimizer::{optimize, OptimizerConfig, Partitioning};
     use qap_sql::QuerySetBuilder;
-    use qap_types::{Catalog, Value};
+    use qap_trace::{generate, TraceConfig};
+    use qap_types::{Catalog, ColumnData, Value};
 
     /// A runner whose units answer migration messages from a script:
     /// extracts return one state row per job, except at `dies`, which
@@ -1233,5 +1296,177 @@ mod tests {
             .collect();
         assert!(!handed_back.is_empty());
         assert_eq!(fake.absorbed, handed_back);
+    }
+
+    /// One handed-on batch: unit, scan, rows and each column's lane
+    /// type and null flag.
+    type Handed = (
+        usize,
+        NodeId,
+        Vec<Tuple>,
+        Vec<(Option<std::mem::Discriminant<ColumnData>>, bool)>,
+    );
+
+    fn handed(unit: usize, scan: NodeId, b: &ColumnBatch) -> Handed {
+        let lanes = (b.columns().iter())
+            .map(|c| (c.data().map(std::mem::discriminant), c.has_nulls()))
+            .collect();
+        (unit, scan, b.to_rows(), lanes)
+    }
+
+    /// A runner that records every batch in the order it is handed on.
+    /// With `consume`, it takes batches as they fill and leaves the
+    /// batch cleared with its lanes typed, as an engine recycling its
+    /// buffers does; without, batches wait for the epoch's handoff.
+    struct Recorder {
+        consume: bool,
+        log: Vec<Handed>,
+    }
+
+    impl Links for Recorder {
+        fn push(&mut self, unit: usize, scan: NodeId, batch: &mut ColumnBatch) -> ExecResult<bool> {
+            if self.consume {
+                self.log.push(handed(unit, scan, batch));
+                batch.clear();
+            }
+            Ok(self.consume)
+        }
+
+        fn handoff(&mut self, unit: usize, batches: Vec<Feed>) {
+            (self.log).extend(batches.iter().map(|(scan, b)| handed(unit, *scan, b)));
+        }
+
+        fn send(&mut self, _unit: usize, _msg: UnitMsg) -> bool {
+            unreachable!("no migration without a controller")
+        }
+
+        fn reply(&mut self, _unit: usize) -> Option<StateRows> {
+            unreachable!("no migration without a controller")
+        }
+    }
+
+    /// Per-row staging: assign each row on its own and push it into its
+    /// partition's batch, emitting the batch the moment it fills. The
+    /// chunked, gathering router must hand on exactly these batches.
+    fn route_per_row<L: Links>(
+        r: &mut Router,
+        rows: &[Tuple],
+        max: usize,
+        keep: impl Fn(usize) -> bool,
+        links: &mut L,
+    ) {
+        let m = r.stage.len();
+        for t in rows {
+            let p = match &r.hash {
+                Some(h) => h.partition(t),
+                None => {
+                    let p = r.rr;
+                    r.rr = (p + 1) % m;
+                    p
+                }
+            };
+            if keep(p) {
+                r.stage[p].push_row(t);
+                if r.stage[p].rows() >= max {
+                    r.emit(p, links).unwrap();
+                }
+            }
+        }
+    }
+
+    /// Which partitions a route call stages.
+    type Keep = fn(usize) -> bool;
+
+    /// Stages `trace` in two route calls and one close, by the router
+    /// or by the per-row reference, and returns what was handed on.
+    fn staged(
+        plan: &DistributedPlan,
+        trace: &[Tuple],
+        (max, keep, consume): (usize, Keep, bool),
+        per_row: bool,
+    ) -> Vec<Handed> {
+        let dep =
+            Deployment::new(plan, &[("TCP", trace)], Some(&TransportConfig::default())).unwrap();
+        let mut r = Router::new(&dep, &dep.streams[0], None).unwrap();
+        let mut links = Recorder {
+            consume,
+            log: Vec::new(),
+        };
+        let (a, b) = trace.split_at(trace.len() / 3);
+        for part in [a, b] {
+            if per_row {
+                route_per_row(&mut r, part, max, keep, &mut links);
+            } else {
+                r.route(part, max, None, keep, &mut links).unwrap();
+            }
+        }
+        r.close(true, &mut links).unwrap();
+        links.log
+    }
+
+    #[test]
+    fn gather_staging_hands_on_what_per_row_staging_does() {
+        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+        b.add_query(
+            "flows",
+            "SELECT tb, srcIP, COUNT(*) as pkts FROM TCP GROUP BY time/60 as tb, srcIP",
+        )
+        .unwrap();
+        let queries = b.build();
+        let plan = |p: Partitioning| optimize(&queries, &p, &OptimizerConfig::full()).unwrap();
+        let masked = ScalarExpr::col("srcIP").mask(0xFFFF_FF00);
+        let masked_set = PartitionSet::from_exprs([&masked]);
+
+        let trace = generate(&TraceConfig::tiny(5));
+        // Every third source address a string: the masked key no longer
+        // hashes as a lane, so routing falls back to row by row.
+        let src = qap_types::tcp_schema().index_of("srcIP").unwrap();
+        let mixed: Vec<Tuple> = (trace.iter().enumerate())
+            .map(|(i, t)| {
+                let mut v = t.values().to_vec();
+                if i % 3 == 0 {
+                    v[src] = Value::from(format!("h{}", i % 5).as_str());
+                }
+                Tuple::new(v)
+            })
+            .collect();
+
+        let cases = [
+            (
+                "hash lanes",
+                plan(Partitioning::hash(PartitionSet::from_columns(["srcIP"]), 3)),
+                &trace,
+            ),
+            (
+                "masked lanes",
+                plan(Partitioning::hash(masked_set.clone(), 3)),
+                &trace,
+            ),
+            (
+                "row fallback",
+                plan(Partitioning::hash(masked_set, 3)),
+                &mixed,
+            ),
+            ("round robin", plan(Partitioning::round_robin(3)), &trace),
+        ];
+        let keeps: [(&str, Keep); 2] = [("all", |_| true), ("not 1", |p| p != 1)];
+        for (name, plan, rows) in &cases {
+            for max in [1, 7, 1024] {
+                for (keep_name, keep) in keeps {
+                    for consume in [false, true] {
+                        let run = (max, keep, consume);
+                        let want = staged(plan, rows, run, true);
+                        let got = staged(plan, rows, run, false);
+                        let what =
+                            format!("{name}, max {max}, keep {keep_name}, consume {consume}");
+                        assert!(want.len() > 1, "{what}: too few batches");
+                        assert_eq!(got.len(), want.len(), "{what}: batch count");
+                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert!(g == w, "{what}: batch {i} differs");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

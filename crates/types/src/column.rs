@@ -236,6 +236,13 @@ impl ColumnData {
     }
 }
 
+/// `f(i)` for every index, in a lane with room for `cap` entries.
+fn gather<T>(idx: &[u32], cap: usize, f: impl Fn(usize) -> T) -> Vec<T> {
+    let mut lane = Vec::with_capacity(cap.max(idx.len()));
+    lane.extend(idx.iter().map(|&i| f(i as usize)));
+    lane
+}
+
 fn compact_lane<T: Clone>(lane: &mut Vec<T>, sel: &[u32]) {
     for (dst, &src) in sel.iter().enumerate() {
         let src = src as usize;
@@ -490,6 +497,63 @@ impl Column {
         }
     }
 
+    /// Appends rows `idx` of `src` exactly as pushing `src.value(i)` for
+    /// each `i` in turn would: same values, same null mask, same lane
+    /// type. Lane values are copied directly where that provably agrees
+    /// with pushing — no NULLs on either side and matching `UInt`,
+    /// `Int` or `Bool` lanes, or an empty untyped destination (typed
+    /// from the source lane, a dictionary source yielding the plain
+    /// `Str` lane pushing would build, with capacity for all of `src`'s
+    /// rows so a staging lane is sized once). Every other case pushes
+    /// value by value.
+    ///
+    /// # Panics
+    /// When an index is out of bounds.
+    pub fn extend_gather(&mut self, src: &Column, idx: &[u32]) {
+        if idx.is_empty() {
+            return;
+        }
+        // An untyped column without NULLs is empty, so `plain` also
+        // covers the "empty untyped destination" case below.
+        let plain = !src.has_nulls() && !self.has_nulls();
+        let copied = match (&mut self.data, &src.data) {
+            (None, Some(lane)) if plain && !matches!(lane, ColumnData::Mixed(_)) => {
+                let cap = src.len;
+                self.data = Some(match lane {
+                    ColumnData::UInt(l) => ColumnData::UInt(gather(idx, cap, |i| l[i])),
+                    ColumnData::Int(l) => ColumnData::Int(gather(idx, cap, |i| l[i])),
+                    ColumnData::Bool(l) => ColumnData::Bool(gather(idx, cap, |i| l[i])),
+                    ColumnData::Str(l) => ColumnData::Str(gather(idx, cap, |i| Arc::clone(&l[i]))),
+                    ColumnData::Dict(d) => {
+                        ColumnData::Str(gather(idx, cap, |i| Arc::clone(d.get(i))))
+                    }
+                    ColumnData::Mixed(_) => unreachable!("excluded by the guard"),
+                });
+                true
+            }
+            (Some(ColumnData::UInt(d)), Some(ColumnData::UInt(l))) if plain => {
+                d.extend(idx.iter().map(|&i| l[i as usize]));
+                true
+            }
+            (Some(ColumnData::Int(d)), Some(ColumnData::Int(l))) if plain => {
+                d.extend(idx.iter().map(|&i| l[i as usize]));
+                true
+            }
+            (Some(ColumnData::Bool(d)), Some(ColumnData::Bool(l))) if plain => {
+                d.extend(idx.iter().map(|&i| l[i as usize]));
+                true
+            }
+            _ => false,
+        };
+        if copied {
+            self.len += idx.len();
+            return;
+        }
+        for &i in idx {
+            self.push(&src.value(i as usize));
+        }
+    }
+
     /// Rebuilds the lane as [`ColumnData::Mixed`], materializing every
     /// existing row exactly (NULL rows become [`Value::Null`]).
     fn demote_to_mixed(&mut self) {
@@ -652,6 +716,20 @@ impl ColumnBatch {
         for t in rows {
             self.push_row(t);
         }
+    }
+
+    /// Appends rows `idx` of `src`, column by column
+    /// ([`Column::extend_gather`]): the same batch as pushing each
+    /// gathered row in turn.
+    ///
+    /// # Panics
+    /// When the arities disagree or an index is out of bounds.
+    pub fn extend_gather(&mut self, src: &ColumnBatch, idx: &[u32]) {
+        assert_eq!(src.arity(), self.arity(), "source arity != batch arity");
+        for (c, s) in self.columns.iter_mut().zip(&src.columns) {
+            c.extend_gather(s, idx);
+        }
+        self.rows += idx.len();
     }
 
     /// Materializes row `i` into `out` (cleared first), so a row-based
@@ -1022,5 +1100,133 @@ mod tests {
         assert_eq!(scratch, tuple![1u64, 2u64]);
         b.write_row_into(1, &mut scratch);
         assert_eq!(scratch, tuple![3u64, 4u64]);
+    }
+
+    /// Source or destination kinds the gather proptest draws from.
+    const UINT: usize = 0;
+    const INT: usize = 1;
+    const BOOL: usize = 2;
+    const STR: usize = 3;
+    const DICT: usize = 4;
+    const MIXED: usize = 5;
+
+    /// A value of `kind` drawn from `x` (NULL when `nulls` and `x == 0`).
+    fn value_of(kind: usize, x: u64, nulls: bool) -> Value {
+        const WORDS: [&str; 4] = ["", "a", "tcp", "udp"];
+        if nulls && x == 0 {
+            return Value::Null;
+        }
+        match kind {
+            UINT => Value::UInt(x),
+            INT => Value::Int(x as i64 - 2),
+            BOOL => Value::Bool(x & 1 == 0),
+            MIXED if x & 1 == 1 => Value::UInt(x),
+            STR | DICT | MIXED => Value::from(WORDS[x as usize % 4]),
+            _ => unreachable!("no lane kind {kind}"),
+        }
+    }
+
+    fn column_of(kind: usize, xs: &[u64], nulls: bool) -> Column {
+        let mut c = Column::new();
+        for &x in xs {
+            c.push(&value_of(kind, x, nulls));
+        }
+        if kind == DICT {
+            c.dict_encode();
+        }
+        c
+    }
+
+    /// Every bit of a column: length, null mask, lane type and the raw
+    /// lane, placeholders and dictionary tables included.
+    fn assert_same(a: &Column, b: &Column, what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: len");
+        assert_eq!(a.null_mask(), b.null_mask(), "{what}: null mask");
+        match (a.data(), b.data()) {
+            (None, None) => {}
+            (Some(ColumnData::UInt(x)), Some(ColumnData::UInt(y))) => assert_eq!(x, y, "{what}"),
+            (Some(ColumnData::Int(x)), Some(ColumnData::Int(y))) => assert_eq!(x, y, "{what}"),
+            (Some(ColumnData::Bool(x)), Some(ColumnData::Bool(y))) => assert_eq!(x, y, "{what}"),
+            (Some(ColumnData::Str(x)), Some(ColumnData::Str(y))) => assert_eq!(x, y, "{what}"),
+            (Some(ColumnData::Mixed(x)), Some(ColumnData::Mixed(y))) => {
+                assert_eq!(x, y, "{what}")
+            }
+            (Some(ColumnData::Dict(x)), Some(ColumnData::Dict(y))) => {
+                assert_eq!(x.codes(), y.codes(), "{what}: codes");
+                assert_eq!(x.values(), y.values(), "{what}: dictionary");
+            }
+            (x, y) => panic!("{what}: lanes differ: {x:?} vs {y:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// `extend_gather` is pushing `src.value(i)` for every index,
+        /// from every source lane type, with and without NULLs, into
+        /// untyped (empty or all-NULL) and typed (filled, cleared or
+        /// NULL-holding) destinations.
+        #[test]
+        fn extend_gather_equals_pushing_values(
+            src in (0usize..6, proptest::any::<bool>(), proptest::collection::vec(0u64..4, 1..24)),
+            dst in (0usize..5, 0usize..6),
+            picks in proptest::collection::vec(0usize..1000, 0..24),
+        ) {
+            let (src_kind, src_nulls, xs) = src;
+            let (dst_mode, dst_kind) = dst;
+            let src = column_of(src_kind, &xs, src_nulls);
+            let idx: Vec<u32> = picks.iter().map(|&p| (p % xs.len()) as u32).collect();
+            let dst = match dst_mode {
+                0 => Column::new(),
+                1 => Column::from_values(&[Value::Null, Value::Null]),
+                2 => column_of(dst_kind, &[1, 2, 3], false),
+                3 => {
+                    let mut c = column_of(dst_kind, &[1, 2, 3], false);
+                    c.clear();
+                    c
+                }
+                _ => column_of(dst_kind, &[1, 0, 2], true),
+            };
+            let mut gathered = dst.clone();
+            gathered.extend_gather(&src, &idx);
+            let mut pushed = dst;
+            for &i in &idx {
+                pushed.push(&src.value(i as usize));
+            }
+            let what = format!(
+                "src kind {src_kind} nulls {src_nulls} {xs:?}, dst mode {dst_mode} kind {dst_kind}, idx {idx:?}"
+            );
+            assert_same(&gathered, &pushed, &what);
+        }
+    }
+
+    #[test]
+    fn gather_sizes_an_untyped_lane_once() {
+        let src = Column::from_uints((0..64).collect());
+        let mut dst = Column::new();
+        dst.extend_gather(&src, &[3, 5]);
+        let Some(ColumnData::UInt(lane)) = dst.data() else {
+            panic!("want a uint lane, got {:?}", dst.data());
+        };
+        assert_eq!(lane, &[3, 5]);
+        assert!(lane.capacity() >= 64);
+    }
+
+    #[test]
+    fn batch_gather_matches_row_pushes() {
+        let rows = vec![
+            tuple![1u64, "a"],
+            Tuple::new(vec![Value::Null, Value::from("b")]),
+            tuple![3u64, "a"],
+        ];
+        let mut src = ColumnBatch::from_rows(&rows);
+        src.dict_encode_strings();
+        let mut b = ColumnBatch::new(2);
+        b.extend_gather(&src, &[2, 1, 2]);
+        assert_eq!(b.rows(), 3);
+        assert_eq!(
+            b.to_rows(),
+            vec![rows[2].clone(), rows[1].clone(), rows[2].clone()]
+        );
     }
 }

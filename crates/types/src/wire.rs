@@ -17,6 +17,8 @@
 //!   bytes stay in lock-step with the Section 4.2.1 cost model's
 //!   per-tuple size estimator.
 
+use std::sync::Arc;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::{Column, ColumnBatch, ColumnData, Tuple, TypeError, TypeResult, Value};
@@ -448,13 +450,7 @@ fn decode_column_from(buf: &mut Bytes, rows: usize) -> TypeResult<Column> {
             want(buf, "string lane", 4 * rows)?;
             let mut l = Vec::with_capacity(rows);
             for _ in 0..rows {
-                want(buf, "string length", 4)?;
-                let len = buf.get_u32() as usize;
-                want(buf, "string body", len)?;
-                let raw = buf.copy_to_bytes(len);
-                let s =
-                    std::str::from_utf8(&raw).map_err(|_| TypeError::Corrupt("invalid utf-8"))?;
-                l.push(std::sync::Arc::from(s));
+                l.push(decode_str_from(buf, "string length", "string body")?);
             }
             ColumnData::Str(l)
         }
@@ -467,13 +463,11 @@ fn decode_column_from(buf: &mut Bytes, rows: usize) -> TypeResult<Column> {
             want(buf, "dictionary table", 4 * distinct)?;
             let mut values = Vec::with_capacity(distinct);
             for _ in 0..distinct {
-                want(buf, "dictionary entry length", 4)?;
-                let len = buf.get_u32() as usize;
-                want(buf, "dictionary entry body", len)?;
-                let raw = buf.copy_to_bytes(len);
-                let s =
-                    std::str::from_utf8(&raw).map_err(|_| TypeError::Corrupt("invalid utf-8"))?;
-                values.push(std::sync::Arc::from(s));
+                values.push(decode_str_from(
+                    buf,
+                    "dictionary entry length",
+                    "dictionary entry body",
+                )?);
             }
             want(buf, "dictionary codes", 4 * rows)?;
             let mut codes = Vec::with_capacity(rows);
@@ -546,13 +540,21 @@ pub fn encoded_len(tuple: &Tuple) -> usize {
         .sum::<usize>()
 }
 
-/// Decodes a tuple previously produced by [`encode_tuple`].
-pub fn decode_tuple(mut buf: Bytes) -> TypeResult<Tuple> {
-    decode_tuple_from(&mut buf)
+/// Decodes a tuple previously produced by [`encode_tuple`] from any
+/// [`Buf`]: a wire [`Bytes`] view or a borrowed `&[u8]` (the trace
+/// reader decodes every record out of one reused buffer this way). The
+/// buffer must hold exactly one tuple; bytes left over after it are
+/// [`TypeError::Corrupt`].
+pub fn decode_tuple(mut buf: impl Buf) -> TypeResult<Tuple> {
+    let tuple = decode_tuple_from(&mut buf)?;
+    if buf.remaining() != 0 {
+        return Err(TypeError::Corrupt("trailing bytes after tuple"));
+    }
+    Ok(tuple)
 }
 
 /// Ensures `buf` holds at least `need` more bytes before a read.
-fn want(buf: &Bytes, context: &'static str, need: usize) -> TypeResult<()> {
+fn want<B: Buf>(buf: &B, context: &'static str, need: usize) -> TypeResult<()> {
     let have = buf.remaining();
     if have < need {
         return Err(TypeError::Truncated {
@@ -568,7 +570,7 @@ fn want(buf: &Bytes, context: &'static str, need: usize) -> TypeResult<()> {
 /// the inner loop of [`decode_batch_into`]'s frame walk. Every
 /// short-buffer case reports a typed [`TypeError::Truncated`] (never a
 /// panic), unknown tags report [`TypeError::BadTag`].
-fn decode_tuple_from(buf: &mut Bytes) -> TypeResult<Tuple> {
+fn decode_tuple_from<B: Buf>(buf: &mut B) -> TypeResult<Tuple> {
     want(buf, "arity header", 2)?;
     let arity = buf.get_u16() as usize;
     // Each value costs at least its 1-byte tag: bound the pre-sized
@@ -583,7 +585,7 @@ fn decode_tuple_from(buf: &mut Bytes) -> TypeResult<Tuple> {
 
 /// Decodes one tagged value off the front of `buf` — shared by the row
 /// tuple walk and the columnar mixed lane.
-fn decode_value_from(buf: &mut Bytes) -> TypeResult<Value> {
+fn decode_value_from<B: Buf>(buf: &mut B) -> TypeResult<Value> {
     want(buf, "value tag", 1)?;
     let tag = buf.get_u8();
     Ok(match tag {
@@ -600,16 +602,26 @@ fn decode_value_from(buf: &mut Bytes) -> TypeResult<Value> {
             want(buf, "bool value", 1)?;
             Value::Bool(buf.get_u8() != 0)
         }
-        TAG_STR => {
-            want(buf, "string length", 4)?;
-            let len = buf.get_u32() as usize;
-            want(buf, "string body", len)?;
-            let raw = buf.copy_to_bytes(len);
-            let s = std::str::from_utf8(&raw).map_err(|_| TypeError::Corrupt("invalid utf-8"))?;
-            Value::from(s)
-        }
+        TAG_STR => Value::Str(decode_str_from(buf, "string length", "string body")?),
         other => return Err(TypeError::BadTag(other)),
     })
+}
+
+/// Decodes one `u32`-length-prefixed UTF-8 string off the front of
+/// `buf`, straight from the buffer into its `Arc<str>`.
+fn decode_str_from<B: Buf>(
+    buf: &mut B,
+    len_context: &'static str,
+    body_context: &'static str,
+) -> TypeResult<Arc<str>> {
+    want(buf, len_context, 4)?;
+    let len = buf.get_u32() as usize;
+    want(buf, body_context, len)?;
+    let s = std::str::from_utf8(&buf.chunk()[..len])
+        .map_err(|_| TypeError::Corrupt("invalid utf-8"))?;
+    let s = Arc::from(s);
+    buf.advance(len);
+    Ok(s)
 }
 
 #[cfg(test)]
@@ -651,6 +663,66 @@ mod tests {
                 "cut at {cut}: {err}"
             );
         }
+    }
+
+    /// Every value kind, NULL and an empty string included.
+    fn all_kinds() -> Tuple {
+        Tuple::new(vec![
+            Value::Null,
+            Value::UInt(u64::MAX),
+            Value::Int(i64::MIN),
+            Value::Bool(true),
+            Value::from("gigascope"),
+            Value::from(""),
+        ])
+    }
+
+    #[test]
+    fn slice_and_bytes_decode_agree_on_every_prefix() {
+        let encoded = encode_tuple(&all_kinds());
+        for cut in 0..=encoded.len() {
+            let from_bytes = decode_tuple(encoded.slice(0..cut));
+            let from_slice = decode_tuple(&encoded[..cut]);
+            assert_eq!(from_slice, from_bytes, "cut at {cut}");
+            if cut < encoded.len() {
+                assert!(
+                    matches!(from_slice, Err(TypeError::Truncated { .. })),
+                    "cut at {cut}: {from_slice:?}"
+                );
+            }
+        }
+        assert_eq!(decode_tuple(&encoded[..]).unwrap(), all_kinds());
+    }
+
+    #[test]
+    fn slice_and_bytes_decode_agree_on_bad_bytes() {
+        let mut bad_utf8 = BytesMut::new();
+        bad_utf8.put_u16(1);
+        bad_utf8.put_u8(TAG_STR);
+        bad_utf8.put_u32(2);
+        bad_utf8.put_slice(&[0xFF, 0xFE]);
+        let mut bad_tag = BytesMut::new();
+        bad_tag.put_u16(1);
+        bad_tag.put_u8(99);
+        for (raw, want) in [
+            (bad_utf8, TypeError::Corrupt("invalid utf-8")),
+            (bad_tag, TypeError::BadTag(99)),
+        ] {
+            let raw = raw.freeze();
+            assert_eq!(decode_tuple(&raw[..]), Err(want.clone()));
+            assert_eq!(decode_tuple(raw), Err(want));
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_after_a_tuple_are_corrupt() {
+        let mut raw = BytesMut::new();
+        raw.put_slice(&encode_tuple(&tuple![7u64]));
+        raw.put_u8(0);
+        let raw = raw.freeze();
+        let want = Err(TypeError::Corrupt("trailing bytes after tuple"));
+        assert_eq!(decode_tuple(&raw[..]), want);
+        assert_eq!(decode_tuple(raw), want);
     }
 
     #[test]
