@@ -63,6 +63,26 @@ fn bench_join(c: &mut Criterion) {
     group.bench_function("flows_heavy_pairs", |b| {
         b.iter(|| run_logical(&dag, trace.iter().cloned()).expect("runs"))
     });
+    // Section 6.2: subnet aggregation plus the flow-jitter self-join,
+    // fed as pre-staged 1024-row column batches (setup, untimed) the
+    // way cluster hosts receive their input.
+    let dag = Scenario::QuerySet.dag();
+    let chunks: Vec<ColumnBatch> = trace.chunks(1024).map(ColumnBatch::from_rows).collect();
+    group.bench_function("jitter_self_join", |b| {
+        b.iter_batched(
+            || chunks.clone(),
+            |mut chunks| {
+                let mut engine = Engine::new(&dag).expect("engine builds");
+                let source = engine.source_nodes()[0];
+                for cols in &mut chunks {
+                    engine.push_columns(source, cols).expect("push");
+                }
+                engine.finish().expect("finish");
+                engine
+            },
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 

@@ -178,6 +178,15 @@ fn main() -> ExitCode {
             true,
         ),
         (
+            "subnet_mask_agg",
+            tcp_dag(
+                "SELECT tb, subnet, destIP, COUNT(*) as cnt, SUM(len) as bytes FROM TCP \
+                 GROUP BY time/60 as tb, srcIP & 0xFFF0 as subnet, destIP",
+            ),
+            &tcp_chunks,
+            true,
+        ),
+        (
             "columnar_str_filter",
             {
                 let mut b = QuerySetBuilder::new(flow_catalog());

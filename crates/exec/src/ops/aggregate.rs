@@ -3,10 +3,12 @@
 use std::sync::Arc;
 
 use qap_expr::{
-    make_accumulator, Accumulator, AggKind, BinOp, BoundExpr, KernelScratch, LaneKind,
+    make_accumulator, Accumulator, AggKind, BinOp, BoundExpr, KernelScratch, LaneKind, NumKernel,
     PredicateKernel, Udaf, UdafState, LANE_KINDS,
 };
-use qap_types::{ColumnBatch, ColumnData, DictLane, SelectionVector, Tuple, Value, DICT_NULL_CODE};
+use qap_types::{
+    Column, ColumnBatch, ColumnData, DictLane, SelectionVector, Tuple, Value, DICT_NULL_CODE,
+};
 
 use crate::fx;
 use crate::ExecResult;
@@ -133,6 +135,11 @@ enum KeyEval {
     /// true fraction `r/d` sits at least `1/d > 2^-32` below the next
     /// integer).
     DivConst { col: usize, div: u64, magic: u64 },
+    /// An expression [`NumKernel`] compiles, e.g. `srcIP & 0xFFF0`. The
+    /// columnar path evaluates it once per batch into an operator-owned
+    /// lane that then classifies like a plain column; the row path
+    /// evaluates it like `General`.
+    Kernel(NumKernel),
     /// Full recursive evaluation.
     General,
 }
@@ -158,10 +165,14 @@ impl KeyEval {
                         magic,
                     }
                 }
-                _ => KeyEval::General,
+                _ => Self::computed(e),
             },
-            _ => KeyEval::General,
+            _ => Self::computed(e),
         }
+    }
+
+    fn computed(e: &BoundExpr) -> KeyEval {
+        NumKernel::compile(e).map_or(KeyEval::General, KeyEval::Kernel)
     }
 }
 
@@ -225,8 +236,8 @@ fn key_matches(evals: &[KeyEval], divs: &[u64], tuple: &Tuple, key: &[Value]) ->
             d += 1;
             matches!(kv, Value::UInt(x) if *x == q)
         }
-        KeyEval::General => {
-            debug_assert!(false, "fast key path excludes General evals");
+        KeyEval::Kernel(_) | KeyEval::General => {
+            debug_assert!(false, "fast key path excludes computed evals");
             false
         }
     })
@@ -314,6 +325,9 @@ pub(crate) struct AggregateOp {
     /// `DivConst` eval in key order (the columnar analogue of
     /// `div_scratch`).
     q_lanes: Vec<Vec<u64>>,
+    /// The current batch's computed key lanes, one per `Kernel` eval in
+    /// key order, compacted alongside the batch.
+    key_cols: Vec<Column>,
     /// Reused row materialization for columnar fallbacks (interpreter
     /// predicates, `General` slot folds).
     row_scratch: Tuple,
@@ -368,7 +382,9 @@ impl AggregateOp {
             })
             .collect();
         let key_evals: Vec<KeyEval> = group_exprs.iter().map(KeyEval::classify).collect();
-        let fast_keys = key_evals.iter().all(|e| !matches!(e, KeyEval::General));
+        let fast_keys = key_evals
+            .iter()
+            .all(|e| matches!(e, KeyEval::Col(_) | KeyEval::DivConst { .. }));
         let divs_before = key_evals[..temporal_idx]
             .iter()
             .filter(|e| matches!(e, KeyEval::DivConst { .. }))
@@ -377,7 +393,7 @@ impl AggregateOp {
             KeyEval::Col(i) => TemporalSrc::Col(*i),
             KeyEval::DivConst { .. } => TemporalSrc::Div(divs_before),
             // Unused: `fast_keys` is false, so the slow path runs.
-            KeyEval::General => TemporalSrc::Col(0),
+            KeyEval::Kernel(_) | KeyEval::General => TemporalSrc::Col(0),
         };
         let kernel = predicate.as_ref().and_then(PredicateKernel::compile);
         AggregateOp {
@@ -403,6 +419,7 @@ impl AggregateOp {
             sel: SelectionVector::new(),
             hash_scratch: Vec::new(),
             q_lanes: Vec::new(),
+            key_cols: Vec::new(),
             row_scratch: Tuple::default(),
             fallback_keep: Vec::new(),
             ukeys_flat: Vec::new(),
@@ -588,7 +605,9 @@ impl AggregateOp {
                     self.key_scratch.push(Value::UInt(self.div_scratch[d]));
                     d += 1;
                 }
-                KeyEval::General => debug_assert!(false, "fast key path excludes General evals"),
+                KeyEval::Kernel(_) | KeyEval::General => {
+                    debug_assert!(false, "fast key path excludes computed evals")
+                }
             }
         }
     }
@@ -608,7 +627,7 @@ impl AggregateOp {
                     Value::UInt(x) => Value::UInt(div_q(*x, *div, *magic)),
                     _ => e.eval(&tuple)?,
                 },
-                KeyEval::General => e.eval(&tuple)?,
+                KeyEval::Kernel(_) | KeyEval::General => e.eval(&tuple)?,
             };
             vh.add(&v);
             self.key_scratch.push(v);
@@ -648,6 +667,35 @@ impl AggregateOp {
         Self::fold(&self.slots, &self.slot_evals, accs, &tuple)?;
         self.recycle(tuple);
         Ok(())
+    }
+
+    /// Evaluates every `Kernel` key over `batch` into `key_cols`, in key
+    /// order. `false` when a kernel bails (its scratch tallies the lane).
+    fn eval_key_kernels(&mut self, batch: &ColumnBatch) -> bool {
+        self.key_cols.clear();
+        for ev in &self.key_evals {
+            if let KeyEval::Kernel(k) = ev {
+                match k.eval_column(batch, &mut self.kscratch) {
+                    Some(c) => self.key_cols.push(c),
+                    None => return false,
+                }
+            }
+        }
+        true
+    }
+
+    /// Sends a columnar batch down the exact row path, predicate
+    /// included.
+    fn push_as_rows(
+        &mut self,
+        port: usize,
+        batch: &mut ColumnBatch,
+        out: &mut Vec<Tuple>,
+    ) -> ExecResult<()> {
+        let mut rows = Vec::with_capacity(batch.rows());
+        batch.append_rows_to(&mut rows);
+        batch.clear();
+        self.push_batch(port, &mut rows, out)
     }
 
     /// Refines `self.sel` to the rows the predicate keeps — compiled
@@ -898,14 +946,14 @@ impl AggregateOp {
     /// migration drain protocol: after the splitter stops feeding at
     /// boundary `time` and this runs, the live table holds at most the
     /// single window the boundary splits, which is exactly the state
-    /// [`AggregateOp::extract_state`] ships. A `General` temporal key
-    /// is a no-op (callers gate migration eligibility on fast temporal
-    /// shapes).
+    /// [`AggregateOp::extract_state`] ships. A computed (`Kernel` or
+    /// `General`) temporal key is a no-op (callers gate migration
+    /// eligibility on fast temporal shapes).
     fn window_flush_before(&mut self, time: u64, out: &mut Vec<Tuple>) -> ExecResult<()> {
         let boundary = match &self.key_evals[self.temporal_idx] {
             KeyEval::Col(_) => i128::from(time),
             KeyEval::DivConst { div, .. } => i128::from(time / *div),
-            KeyEval::General => return Ok(()),
+            KeyEval::Kernel(_) | KeyEval::General => return Ok(()),
         };
         if let Some(cur) = self.current_bucket {
             if cur < boundary {
@@ -1062,10 +1110,27 @@ fn key_lane_kind(lane: &KeyLane<'_>) -> Option<LaneKind> {
     })
 }
 
-/// Classifies every key eval's source lane, or the blocking lane type
-/// when some shape keeps the batch off the columnar path: a `Mixed` or
-/// plain-`Str` lane (entry normalization dictionary-encodes strings, so
-/// plain `Str` means a demoted recycle), a `General` eval (tallied as
+/// Classifies a plain or computed key column's lane, or the blocking
+/// lane type: a `Mixed` or plain-`Str` lane (entry normalization
+/// dictionary-encodes strings, so plain `Str` means a demoted recycle).
+fn column_key_lane(c: &Column) -> Result<KeyLane<'_>, LaneKind> {
+    let m = c.null_mask();
+    Ok(match c.data() {
+        Some(ColumnData::UInt(l)) if m.is_empty() => KeyLane::U(l),
+        Some(ColumnData::UInt(l)) => KeyLane::UNull(l, m),
+        Some(ColumnData::Int(l)) => KeyLane::I(l, m),
+        Some(ColumnData::Bool(l)) => KeyLane::B(l, m),
+        Some(ColumnData::Dict(d)) => KeyLane::D(d),
+        None => KeyLane::AllNull,
+        Some(ColumnData::Str(_)) => return Err(LaneKind::Str),
+        Some(ColumnData::Mixed(_)) => return Err(LaneKind::Mixed),
+    })
+}
+
+/// Classifies every key eval's source lane — `computed` holds the
+/// `Kernel` evals' lanes in key order — or the blocking lane type when
+/// some shape keeps the batch off the columnar path: an ineligible
+/// column lane ([`column_key_lane`]), a `General` eval (tallied as
 /// `Mixed` — no single lane to blame), a window divisor over anything
 /// but a non-null unsigned lane, or a temporal lane that is not
 /// non-null unsigned — NULL windows and kind-ranked buckets stay on the
@@ -1074,24 +1139,16 @@ fn classify_key_lanes<'a>(
     key_evals: &[KeyEval],
     temporal_idx: usize,
     batch: &'a ColumnBatch,
+    computed: &'a [Column],
 ) -> Result<Vec<KeyLane<'a>>, LaneKind> {
     let mut lanes = Vec::with_capacity(key_evals.len());
     let mut n_divs = 0;
+    let mut computed = computed.iter();
     for ev in key_evals {
         lanes.push(match ev {
-            KeyEval::Col(i) => {
-                let c = batch.column(*i);
-                let m = c.null_mask();
-                match c.data() {
-                    Some(ColumnData::UInt(l)) if m.is_empty() => KeyLane::U(l),
-                    Some(ColumnData::UInt(l)) => KeyLane::UNull(l, m),
-                    Some(ColumnData::Int(l)) => KeyLane::I(l, m),
-                    Some(ColumnData::Bool(l)) => KeyLane::B(l, m),
-                    Some(ColumnData::Dict(d)) => KeyLane::D(d),
-                    None => KeyLane::AllNull,
-                    Some(ColumnData::Str(_)) => return Err(LaneKind::Str),
-                    Some(ColumnData::Mixed(_)) => return Err(LaneKind::Mixed),
-                }
+            KeyEval::Col(i) => column_key_lane(batch.column(*i))?,
+            KeyEval::Kernel(_) => {
+                column_key_lane(computed.next().expect("one computed lane per kernel key"))?
             }
             KeyEval::DivConst { col, div, magic } => {
                 let c = batch.column(*col);
@@ -1418,7 +1475,7 @@ impl Operator for AggregateOp {
                             break;
                         }
                     },
-                    KeyEval::General => {
+                    KeyEval::Kernel(_) | KeyEval::General => {
                         fallback = true;
                         break;
                     }
@@ -1505,16 +1562,23 @@ impl Operator for AggregateOp {
         // string predicates and group keys run as integer compares
         // (no-op for already-typed lanes).
         batch.dict_encode_strings();
+        // Computed keys evaluate once per batch. A kernel bail
+        // (overflow, borrow, a lane outside its domain) sends the batch
+        // down the exact row path; the kernel scratch has already
+        // tallied the bail under its lane type.
+        if !self.eval_key_kernels(batch) {
+            self.kernel_fallbacks += 1;
+            return self.push_as_rows(port, batch, rows_out);
+        }
         // Key-lane eligibility gates the whole batch: ineligible shapes
         // (Mixed lanes, General evals, non-unsigned window attributes)
         // materialize and take the exact row path — predicate included.
-        if let Err(kind) = classify_key_lanes(&self.key_evals, self.temporal_idx, batch) {
+        if let Err(kind) =
+            classify_key_lanes(&self.key_evals, self.temporal_idx, batch, &self.key_cols)
+        {
             self.kernel_fallbacks += 1;
             self.lane_fallbacks[kind as usize] += 1;
-            let mut rows = Vec::with_capacity(batch.rows());
-            batch.append_rows_to(&mut rows);
-            batch.clear();
-            return self.push_batch(port, &mut rows, rows_out);
+            return self.push_as_rows(port, batch, rows_out);
         }
         // σ: refine the selection, then compact onto the survivors
         // (skipped entirely when the plan has no predicate).
@@ -1526,11 +1590,16 @@ impl Operator for AggregateOp {
                 return Ok(());
             }
             batch.compact(&self.sel);
+            for c in &mut self.key_cols {
+                c.compact(self.sel.as_slice());
+            }
         }
         // Re-classify against the compacted lanes (compaction only
         // preserves or upgrades shapes — a null mask can drop, a lane
-        // type never changes).
-        let lanes = classify_key_lanes(&self.key_evals, self.temporal_idx, batch)
+        // type never changes). The computed lanes move out of `self`
+        // for the batch so the row loop may flush windows.
+        let key_cols = std::mem::take(&mut self.key_cols);
+        let lanes = classify_key_lanes(&self.key_evals, self.temporal_idx, batch, &key_cols)
             .expect("compaction preserves key-lane shapes");
         self.kernel_hits += 1;
         for lane in &lanes {
@@ -1617,6 +1686,7 @@ impl Operator for AggregateOp {
             self.entry_scratch = ents;
             self.ukeys_flat = flat;
             self.hash_scratch = hashes;
+            self.key_cols = key_cols;
             batch.clear();
             return Ok(());
         }
@@ -1693,6 +1763,7 @@ impl Operator for AggregateOp {
                 &self.row_scratch,
             )?;
         }
+        self.key_cols = key_cols;
         batch.clear();
         Ok(())
     }
@@ -1756,6 +1827,46 @@ fn merge_lanes(a: [u64; LANE_KINDS], b: [u64; LANE_KINDS]) -> [u64; LANE_KINDS] 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A kernel-compilable key classifies as a computed lane: it blocks
+    /// the columnar path only when its kernel bails, and its lane reads
+    /// as a plain unsigned key lane (NULL-masked over a NULL input).
+    #[test]
+    fn computed_keys_classify_as_unsigned_lanes() {
+        let masked = BoundExpr::Binary {
+            op: BinOp::BitAnd,
+            lhs: Box::new(BoundExpr::Column(1)),
+            rhs: Box::new(BoundExpr::Literal(Value::UInt(0xFFF0))),
+        };
+        let evals = vec![KeyEval::Col(0), KeyEval::classify(&masked)];
+        let KeyEval::Kernel(k) = &evals[1] else {
+            panic!("a masked column compiles as a kernel key");
+        };
+        let mut scratch = KernelScratch::new();
+        let lanes_of = |rows: &[Tuple], scratch: &mut KernelScratch| {
+            let batch = ColumnBatch::from_rows(rows);
+            let computed = k.eval_column(&batch, scratch).map(|c| vec![c]);
+            computed.map(|cols| {
+                classify_key_lanes(&evals, 0, &batch, &cols).map(|lanes| match lanes[1] {
+                    KeyLane::U(_) => "U",
+                    KeyLane::UNull(..) => "UNull",
+                    _ => "other",
+                })
+            })
+        };
+        let plain = [
+            Tuple::new(vec![Value::UInt(0), Value::UInt(0x1234)]),
+            Tuple::new(vec![Value::UInt(0), Value::UInt(0x5678)]),
+        ];
+        assert_eq!(lanes_of(&plain, &mut scratch), Some(Ok("U")));
+        let nulls = [
+            Tuple::new(vec![Value::UInt(0), Value::Null]),
+            Tuple::new(vec![Value::UInt(0), Value::UInt(0x5678)]),
+        ];
+        assert_eq!(lanes_of(&nulls, &mut scratch), Some(Ok("UNull")));
+        let negative = [Tuple::new(vec![Value::UInt(0), Value::Int(-3)])];
+        assert_eq!(lanes_of(&negative, &mut scratch), None, "kernel bails");
+    }
 
     /// The strength-reduced window-key division must agree with the
     /// hardware division everywhere the fast path is taken: all

@@ -2,11 +2,13 @@
 //! paths.
 //!
 //! The operator classifies group-key expressions (plain column,
-//! `column / constant`) and aggregate folds (`COUNT(*)`, `SUM(column)`)
-//! into per-tuple shortcuts at construction time, falling back to the
-//! general recursive evaluator for everything else — HAVING predicates,
-//! `OR_AGGR`, masked keys, and any *value* outside a shortcut's domain
-//! (NULL or signed inputs reaching a `DivConst` key or a `SUM` slot).
+//! `column / constant`, kernel-computed keys such as `srcIP & 0xFFF0`)
+//! and aggregate folds (`COUNT(*)`, `SUM(column)`) into shortcuts at
+//! construction time, falling back to the general recursive evaluator
+//! for everything else — HAVING predicates, `OR_AGGR`, computed keys on
+//! the row path, and any *value* outside a shortcut's domain (NULL or
+//! signed inputs reaching a `DivConst` key or a `SUM` slot, a computed
+//! key whose kernel bails).
 //! The contract is that the shortcut is invisible: byte-identical
 //! output tuples and identical operator counters at every batch size,
 //! including inputs engineered to cross the fast/fallback seam
@@ -93,8 +95,9 @@ fn fast_keys_and_fast_slots() {
 
 #[test]
 fn masked_key_takes_general_evaluator() {
-    // `srcIP & 0xFFF0` is not a classified key shape, so the whole key
-    // tuple goes through the materializing path.
+    // `srcIP & 0xFFF0` is a kernel-computed key: the columnar path
+    // evaluates it as a lane, but on the row path the whole key tuple
+    // goes through the materializing path.
     let dag = tcp_dag(
         "SELECT tb, subnet, COUNT(*) as cnt FROM TCP \
          GROUP BY time/60 as tb, srcIP & 0xFFF0 as subnet",
@@ -163,6 +166,22 @@ fn run_encoded_columnar(
     input: &[Tuple],
     batch: usize,
 ) -> (Vec<SinkRows>, Vec<OpCounters>) {
+    let mut engine = run_columnar(dag, input, batch);
+    let counters = engine.counters().to_vec();
+    let outputs = dag
+        .topo_order()
+        .filter(|&id| dag.parents(id).is_empty())
+        .map(|id| {
+            let rows = engine.output(id);
+            (id, rows.iter().map(|t| encode_tuple(t).to_vec()).collect())
+        })
+        .collect();
+    (outputs, counters)
+}
+
+/// Pushes `input` through every source as `batch`-row column batches
+/// and finishes the engine.
+fn run_columnar(dag: &QueryDag, input: &[Tuple], batch: usize) -> Engine {
     use qap::types::ColumnBatch;
     let mut engine = Engine::new(dag).expect("engine builds");
     engine.set_batch_config(BatchConfig::new(batch));
@@ -174,16 +193,7 @@ fn run_encoded_columnar(
         }
     }
     engine.finish().expect("finish");
-    let counters = engine.counters().to_vec();
-    let outputs = dag
-        .topo_order()
-        .filter(|&id| dag.parents(id).is_empty())
-        .map(|id| {
-            let rows = engine.output(id);
-            (id, rows.iter().map(|t| encode_tuple(t).to_vec()).collect())
-        })
-        .collect();
-    (outputs, counters)
+    engine
 }
 
 /// Asserts the columnar typed-lane path is invisible: byte-identical
@@ -303,4 +313,117 @@ fn mixed_type_groups_match_a_scalar_reference() {
         })
         .collect();
     assert_eq!(rows.len(), expected.len(), "group cardinality mismatch");
+}
+
+/// The aggregate's metrics after a columnar run of `dag`'s query `q`.
+fn columnar_agg_metrics(dag: &QueryDag, input: &[Tuple], batch: usize) -> qap::obs::OpMetrics {
+    let q = dag.query_node("q").expect("query q");
+    run_columnar(dag, input, batch).metrics().swap_remove(q)
+}
+
+#[test]
+fn masked_key_stays_on_the_kernel_path() {
+    // The Section 6.2 subnet key evaluates as a computed unsigned lane,
+    // so every batch stays columnar.
+    let dag = tcp_dag(
+        "SELECT tb, subnet, destIP, COUNT(*) as cnt, SUM(len) as bytes FROM TCP \
+         GROUP BY time/60 as tb, srcIP & 0xFFF0 as subnet, destIP",
+    );
+    let input = tcp_trace();
+    assert_columnar_invariant(&dag, &input, "masked key");
+    for batch in [5usize, 1024] {
+        let m = columnar_agg_metrics(&dag, &input, batch);
+        assert_eq!(m.kernel_fallbacks, 0, "batch {batch}: {m:?}");
+        assert!(m.kernel_hits > 0, "batch {batch}: {m:?}");
+    }
+}
+
+#[test]
+fn computed_key_lanes_follow_the_predicate() {
+    // The computed lane is evaluated over the whole batch and must be
+    // compacted onto the predicate's survivors with it.
+    let dag = tcp_dag(
+        "SELECT tb, subnet, COUNT(*) as cnt, SUM(len) as bytes FROM TCP \
+         WHERE len > 300 \
+         GROUP BY time/60 as tb, srcIP & 0xFFF0 as subnet",
+    );
+    let input = tcp_trace();
+    assert_columnar_invariant(&dag, &input, "masked key under a predicate");
+    let m = columnar_agg_metrics(&dag, &input, 64);
+    assert_eq!(m.kernel_fallbacks, 0, "{m:?}");
+}
+
+#[test]
+fn shifted_key_matches_row_path() {
+    let dag = tcp_dag(
+        "SELECT tb, net, COUNT(*) as cnt FROM TCP \
+         GROUP BY time/60 as tb, destIP >> 8 as net",
+    );
+    assert_columnar_invariant(&dag, &tcp_trace(), "shifted key");
+}
+
+#[test]
+fn computed_temporal_key_matches_row_path() {
+    // A temporal key that is neither a column nor `column / literal`
+    // (the planner accepts nested divisions as a window): windows open
+    // and close on the computed lane.
+    let dag = tcp_dag(
+        "SELECT tb, srcIP, COUNT(*) as cnt, SUM(len) as bytes FROM TCP \
+         GROUP BY time / 20 / 3 as tb, srcIP",
+    );
+    let input = tcp_trace();
+    assert_columnar_invariant(&dag, &input, "computed temporal key");
+    let m = columnar_agg_metrics(&dag, &input, 1024);
+    assert_eq!(m.kernel_fallbacks, 0, "{m:?}");
+}
+
+#[test]
+fn computed_key_bails_per_batch_on_borrow() {
+    // Half the packets are shorter than 100 bytes: there `len - 100`
+    // borrows, the kernel bails and the row path yields an `Int` key.
+    // Small batches mix kernel batches and row batches in one table.
+    let dag = tcp_dag(
+        "SELECT tb, excess, COUNT(*) as cnt FROM TCP \
+         GROUP BY time/60 as tb, len - 100 as excess",
+    );
+    let input = tcp_trace();
+    assert_columnar_invariant(&dag, &input, "borrowing key");
+    let m = columnar_agg_metrics(&dag, &input, 5);
+    assert!(m.kernel_hits > 0 && m.kernel_fallbacks > 0, "{m:?}");
+}
+
+#[test]
+fn computed_keys_over_null_and_signed_lanes_match_row_path() {
+    // `k & 7` over a key that cycles UInt / negative Int / NULL: NULL
+    // rows give NULL keys on both paths, negative rows bail.
+    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+    b.parse_script(
+        "STREAM S(ts uint increasing, k uint, v uint);\n\
+         QUERY q: SELECT tb, kb, COUNT(*) as cnt, SUM(v) as sv FROM S \
+         GROUP BY ts/60 as tb, k & 7 as kb;",
+    )
+    .expect("script parses");
+    assert_columnar_invariant(&b.build(), &mixed_trace(), "computed key, mixed lanes");
+
+    // `delta + 20` over a signed lane with NULLs: batches whose deltas
+    // stay above -20 reinterpret as unsigned, the rest bail.
+    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+    b.parse_script(
+        "STREAM T(ts uint increasing, delta int, up bool, v uint);\n\
+         QUERY q: SELECT tb, d, up, COUNT(*) as cnt FROM T \
+         GROUP BY ts/60 as tb, delta + 20 as d, up;",
+    )
+    .expect("script parses");
+    let input: Vec<Tuple> = (0..1200u64)
+        .map(|i| {
+            let delta = match i % 5 {
+                0 => Value::Null,
+                1 if i % 200 < 20 => Value::Int(-(i as i64 % 41)),
+                _ => Value::Int(i as i64 % 17),
+            };
+            let up = Value::Bool(i % 3 == 0);
+            Tuple::new(vec![Value::UInt(i / 4), delta, up, Value::UInt(i)])
+        })
+        .collect();
+    assert_columnar_invariant(&b.build(), &input, "computed key, signed lane");
 }
